@@ -178,10 +178,16 @@ class FreeCDGA:
         rec([], degree)
         return out
 
-    def differential_matrix(self, degree):
-        """Matrix of d from the degree piece to the degree+1 piece."""
-        src = self.graded_basis(degree)
-        dst = self.graded_basis(degree + 1)
+    def differential_matrix(self, degree, src=None, dst=None):
+        """Matrix of d from the degree piece to the degree+1 piece.
+
+        `src` and `dst` are the graded bases of degree and degree+1, if the
+        caller has them already.
+        """
+        if src is None:
+            src = self.graded_basis(degree)
+        if dst is None:
+            dst = self.graded_basis(degree + 1)
         index = {m: i for i, m in enumerate(dst)}
         entries = {}
         for col, mono in enumerate(src):
@@ -194,12 +200,15 @@ class FreeCDGA:
 
     def cohomology_dims(self, cutoff):
         """dim H^k for k = 0..cutoff, by kernel/image ranks per degree."""
-        ranks = [linalg.rank(self.differential_matrix(k)) for k in range(cutoff + 1)]
+        bases = [self.graded_basis(k) for k in range(cutoff + 2)]
+        ranks = [
+            linalg.rank(self.differential_matrix(k, bases[k], bases[k + 1]))
+            for k in range(cutoff + 1)
+        ]
         dims = []
         for k in range(cutoff + 1):
-            cochains = len(self.graded_basis(k))
             prev_rank = ranks[k - 1] if k > 0 else 0
-            dims.append(cochains - ranks[k] - prev_rank)
+            dims.append(len(bases[k]) - ranks[k] - prev_rank)
         return dims
 
     def poincare_polynomial(self, cutoff):

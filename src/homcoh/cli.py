@@ -73,9 +73,15 @@ def _read_ideal_file(path):
     return ctx, gens
 
 
+def _check_cutoff(cutoff):
+    if cutoff is not None and cutoff < 0:
+        raise InputError(f"--cutoff must be non-negative, got {cutoff}")
+
+
 def cmd_check(args):
     if not args.case_files:
         raise InputError("no case files given")
+    _check_cutoff(args.cutoff)
     catalog = _load_catalog(args)
     checks = None
     if args.checks:
@@ -109,6 +115,7 @@ def cmd_cohomology(args):
         raise InputError(f"{args.cdga_file}: {exc}")
     if args.cutoff is None:
         raise InputError("--cutoff is required for cohomology")
+    _check_cutoff(args.cutoff)
     dims = algebra.poincare_polynomial(args.cutoff)
     if args.format == "json":
         print(json.dumps({"dims": dims, "poincare": poincare_string(dims)}, sort_keys=True))

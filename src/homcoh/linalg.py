@@ -1,14 +1,16 @@
-"""Exact rational linear algebra: sparse matrices, rank and kernel dimension.
+"""Exact rational linear algebra: sparse matrices, rank, kernel dimension, solve.
 
-Everything is computed over the rationals with arbitrary precision.  Rank uses
-fraction-free (Bareiss) elimination on integer rows obtained by clearing
-denominators, so intermediate entries stay integral and bounded.
+Everything is computed over the rationals with arbitrary precision.  One
+sparse row-echelon routine serves every query: each row becomes a dict
+{col: int} by clearing its denominators, rows are reduced sparsest first by
+fraction-free cross-multiplication, and every pivot row is stored divided by
+the gcd of its entries, so no Fraction arithmetic runs inside the elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 # Exact rational scalar used throughout the package.  Python's Fraction is
 # already normalized (gcd 1, positive denominator, 0 == 0/1).
@@ -58,18 +60,6 @@ class RatMatrix:
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
-    def to_int_rows(self):
-        """Dense integer rows, each scaled by the lcm of its denominators."""
-        rows = []
-        for i in range(self.rows):
-            row = [Fraction(0)] * self.cols
-            for (r, j), v in self.entries.items():
-                if r == i:
-                    row[j] = v
-            denom = lcm(*(v.denominator for v in row)) if any(row) else 1
-            rows.append([int(v * denom) for v in row])
-        return rows
-
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
@@ -82,28 +72,51 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
+def _echelon(m: RatMatrix, rhs=None) -> dict:
+    """Pivot rows of a row-echelon form of m, or of [m | rhs] when rhs is given.
+
+    Returns {col: row}, where each row is a dict {col: int} whose lowest
+    column is the key and whose entries have gcd 1.  The right-hand side, if
+    any, is column m.cols.
+    """
+    by_row = {}
+    for (i, j), v in m.entries.items():
+        by_row.setdefault(i, {})[j] = v
+    for i, v in enumerate(rhs or ()):
+        if v:
+            by_row.setdefault(i, {})[m.cols] = Fraction(v)
+    rows = []
+    for row in by_row.values():
+        denom = lcm(*(v.denominator for v in row.values()))
+        rows.append({j: v.numerator * (denom // v.denominator) for j, v in row.items()})
+
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                content = gcd(*row.values())
+                pivots[col] = {j: v // content for j, v in row.items()}
+                break
+            # row <- a*row - b*pivot, with a/b the reduced ratio of leading entries
+            g = gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, v in pivot.items():
+                w = row.get(j, 0) - b * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return pivots
+
+
 def rank(m: RatMatrix) -> int:
-    """Rank of m over the rationals, by fraction-free Bareiss elimination."""
-    a = [row for row in m.to_int_rows() if any(row)]
-    n_rows, n_cols = len(a), m.cols
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, n_rows):
-            if all(x == 0 for x in a[i][c:]):
-                continue
-            for j in range(c + 1, n_cols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    """Rank of m over the rationals."""
+    return len(_echelon(m))
 
 
 def kernel_dim(m: RatMatrix) -> int:
@@ -114,33 +127,18 @@ def kernel_dim(m: RatMatrix) -> int:
 def solve(m: RatMatrix, rhs) -> list | None:
     """One exact solution of m x = rhs, or None if the system is inconsistent.
 
-    Free variables are set to zero.  Plain rational Gaussian elimination;
-    intended for the small systems used when re-expressing invariants.
+    Free variables are set to zero.  The pivot columns are the leftmost
+    linearly independent columns of m, which every echelon form shares, so
+    the solution returned does not depend on the elimination order.
     """
-    a = []
-    for i in range(m.rows):
-        row = [m[(i, j)] for j in range(m.cols)] + [Fraction(rhs[i])]
-        a.append(row)
-    n_rows, n_cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n_rows):
-        if a[i][n_cols] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for row_idx, c in enumerate(pivots):
-        x[c] = a[row_idx][n_cols]
+    if len(rhs) != m.rows:
+        raise ValueError(f"right-hand side has {len(rhs)} entries for {m.rows} rows")
+    pivots = _echelon(m, rhs)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        total = row.get(m.cols, 0) - sum(v * x[j] for j, v in row.items() if col < j < m.cols)
+        x[col] = Fraction(total) / row[col]
     return x

@@ -161,16 +161,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def evaluate(self, values):
-        """Evaluate at rational values (one per variable)."""
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for e, x in zip(exp, values):
-                v *= Fraction(x) ** e
-            total += v
-        return total
-
     # ---- printing -----------------------------------------------------
 
     def __str__(self):

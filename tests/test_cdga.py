@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -133,6 +134,31 @@ def test_su3_flag_poincare():
     dims = a.poincare_polynomial(6)
     assert dims == [1, 0, 2, 0, 2, 0, 1]
     assert sum(dims) == 6  # equal rank: total dimension is the Weyl order
+
+
+def test_u5_flag_full_poincare_is_palindromic():
+    """U(5)/T^5 with d y_{2k-1} = e_k(z): the whole Poincare polynomial.
+
+    Cohomology of the full flag manifold is the coinvariant algebra, with
+    Poincare series prod_{k<=5} (1 - t^{2k}) / (1 - t^2); degree 20 is the top.
+    """
+    names = tuple(f"z{i}" for i in range(1, 6))
+    ctx = VariableContext(names, (2,) * 5)
+    even = [GeneratorSpec(n, 2) for n in names]
+    odd = [GeneratorSpec(f"y{2 * k - 1}", 2 * k - 1) for k in range(1, 6)]
+    transgressions = [
+        parse_polynomial(" + ".join("*".join(c) for c in combinations(names, k)), ctx)
+        for k in range(1, 6)
+    ]
+    dims = build_cartan_algebra(even, odd, transgressions).poincare_polynomial(20)
+    expected = [1] + [0] * 20
+    for k in range(2, 6):  # multiply by 1 + t^2 + ... + t^{2k-2}
+        expected = [
+            sum(expected[i - 2 * j] for j in range(k) if i >= 2 * j) for i in range(21)
+        ]
+    assert dims == expected
+    assert dims == dims[::-1]
+    assert sum(dims) == 120  # equal rank: total dimension is the Weyl order 5!
 
 
 def test_so8_quotient_degree_8():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,12 @@ def test_check_bundled_cases_text():
 def test_check_empty_file_list_is_usage_error():
     result = run_cli("check", expect=1)
     assert "no case files" in result.stderr
+
+
+def test_check_negative_cutoff_is_input_error():
+    result = run_cli("check", "--cutoff", "-3", *bundled_case_paths(), expect=1)
+    assert "--cutoff must be non-negative" in result.stderr
+    assert result.stdout == ""
 
 
 def test_check_unknown_group_key(tmp_path):
@@ -99,6 +106,14 @@ def test_cohomology_requires_cutoff():
     run_cli("cohomology", str(DATA / "cdga" / "cp1.cdga"), expect=1)
 
 
+def test_cohomology_negative_cutoff_is_input_error():
+    result = run_cli(
+        "cohomology", str(DATA / "cdga" / "cp1.cdga"), "--cutoff", "-3", expect=1
+    )
+    assert "--cutoff must be non-negative" in result.stderr
+    assert result.stdout == ""
+
+
 def test_member_true():
     # the degree-8 restriction lies in the ideal of the degree-4 one
     result = run_cli(
@@ -151,11 +166,14 @@ def test_catalog_override_with_corrupted_file(tmp_path):
 def test_catalog_env_var_override(tmp_path, monkeypatch):
     empty = tmp_path / "catalog.txt"
     empty.write_text("")
+    env = {"HOMCOH_CATALOG": str(empty), "PATH": "/usr/bin:/bin"}
+    if "PYTHONPATH" in os.environ:
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     result = subprocess.run(
         [sys.executable, "-m", "homcoh.cli", "catalog"],
         capture_output=True,
         text=True,
-        env={"HOMCOH_CATALOG": str(empty), "PATH": "/usr/bin:/bin"},
+        env=env,
     )
     assert result.returncode == 0
     assert "so(8)" not in result.stdout

@@ -79,3 +79,97 @@ def test_solve_underdetermined():
     x = solve(m, [6])
     assert x is not None
     assert sum(x) == 6
+
+
+# ---- the sparse core against a dense reference -------------------------
+
+
+def dense_pivots(rows, n_cols):
+    """Pivot columns by plain dense Fraction Gauss elimination: the reference
+    for the sparse fraction-free routine behind rank and solve."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                factor = a[i][c]
+                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots
+
+
+def dense_rank(rows, n_cols):
+    return len(dense_pivots(rows, n_cols))
+
+
+huge = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)
+)
+entries = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), rationals, huge
+)
+
+
+@st.composite
+def matrices(draw, max_side=8):
+    """Dense row lists: sparse random patterns, tall, wide and empty shapes,
+    zero rows, and low-rank products whose rank falls below both sides."""
+    n_rows = draw(st.integers(0, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    if draw(st.booleans()):
+        rows = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    else:
+        inner = draw(st.integers(0, 3))
+        left = [[draw(entries) for _ in range(inner)] for _ in range(n_rows)]
+        right = [[draw(entries) for _ in range(n_cols)] for _ in range(inner)]
+        rows = [
+            [sum((l[k] * right[k][j] for k in range(inner)), Fraction(0)) for j in range(n_cols)]
+            for l in left
+        ]
+    return rows, n_cols
+
+
+def to_matrix(rows, n_cols):
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return RatMatrix(len(rows), n_cols, entries)
+
+
+@given(matrices())
+def test_rank_matches_dense_reference(shape):
+    rows, n_cols = shape
+    m = to_matrix(rows, n_cols)
+    assert rank(m) == dense_rank(rows, n_cols)
+    assert kernel_dim(m) == n_cols - dense_rank(rows, n_cols)
+
+
+@given(matrices(), st.data())
+def test_solve_matches_dense_reference(shape, data):
+    rows, n_cols = shape
+    m = to_matrix(rows, n_cols)
+    if data.draw(st.booleans()):
+        # consistent by construction: rhs = m y
+        y = data.draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+        rhs = [sum((v * w for v, w in zip(row, y)), Fraction(0)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    x = solve(m, rhs)
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    inconsistent = dense_rank(augmented, n_cols + 1) > dense_rank(rows, n_cols)
+    assert (x is None) == inconsistent
+    if x is not None:
+        assert len(x) == n_cols
+        for row, b in zip(rows, rhs):
+            assert sum((v * w for v, w in zip(row, x)), Fraction(0)) == b
+        pivots = dense_pivots(rows, n_cols)
+        assert all(x[j] == 0 for j in range(n_cols) if j not in pivots)
+
+
+def test_solve_rejects_rhs_of_wrong_length():
+    with pytest.raises(ValueError):
+        solve(RatMatrix.from_rows([[1, 2], [3, 4]]), [1])
