@@ -195,8 +195,19 @@ def _parse_sections(text, path="<catalog>"):
     return sections
 
 
+class _Fields(dict):
+    """A section's `key = value` fields; reading a missing key is a CatalogError."""
+
+    def __init__(self, section, path):
+        super().__init__()
+        self.where = f"{path}:{section['lineno']}: [{section['header']}]"
+
+    def __missing__(self, key):
+        raise CatalogError(f"{self.where} missing field {key!r}")
+
+
 def _field_map(section, path):
-    out = {}
+    out = _Fields(section, path)
     for lineno, key, value in section["fields"]:
         if key in out:
             raise CatalogError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -220,7 +231,7 @@ def _int_list(value):
 
 
 def _parse_embedding(section, path):
-    fields = dict()
+    fields = _Fields(section, path)
     maps = []
     for lineno, key, value in section["fields"]:
         if key.startswith("map "):

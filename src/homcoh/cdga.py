@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import RatMatrix
-from .poly import Polynomial, VariableContext, parse_polynomial
+from .poly import Polynomial, VariableContext, parse_polynomial, weighted_exponents
 
 
 @dataclass(frozen=True)
@@ -145,38 +145,16 @@ class FreeCDGA:
     def graded_basis(self, degree):
         """Deterministically ordered monomial basis of the given degree."""
         monomials = []
-        n_even = self.even_ctx.nvars
+        even_degrees = self.even_ctx.degrees
         for mask in range(1 << len(self.odd_gens)):
             odd_deg = sum(
                 g.degree for i, g in enumerate(self.odd_gens) if mask >> i & 1
             )
             if odd_deg > degree:
                 continue
-            for exp in self._even_exponents(degree - odd_deg, n_even):
+            for exp in weighted_exponents(even_degrees, degree - odd_deg):
                 monomials.append((exp, mask))
         return monomials
-
-    def _even_exponents(self, degree, nvars):
-        degrees = self.even_ctx.degrees
-        out = []
-
-        def rec(prefix, remaining):
-            i = len(prefix)
-            if i == nvars:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            if i == nvars - 1:
-                if remaining % degrees[i] == 0:
-                    out.append(tuple(prefix + [remaining // degrees[i]]))
-                return
-            e = 0
-            while e * degrees[i] <= remaining:
-                rec(prefix + [e], remaining - e * degrees[i])
-                e += 1
-
-        rec([], degree)
-        return out
 
     def differential_matrix(self, degree, src=None, dst=None):
         """Matrix of d from the degree piece to the degree+1 piece.

@@ -93,7 +93,9 @@ def cmd_check(args):
     for path in args.case_files:
         try:
             cases.extend(catalog.load_case_file(path))
-        except (OSError, cat.CatalogError, KeyError, ValueError) as exc:
+        except cat.CatalogError as exc:  # its message starts with the path
+            raise InputError(str(exc))
+        except (OSError, KeyError, ValueError) as exc:
             raise InputError(f"{path}: {exc}")
     reports = [run_case(case, checks=checks, cutoff=args.cutoff) for case in cases]
     if args.format == "json":

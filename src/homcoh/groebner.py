@@ -3,12 +3,19 @@
 Coefficients are exact rationals throughout.  The default order is grevlex;
 all quantities consumed elsewhere in the package (membership verdicts,
 quotient dimensions) are independent of the order.
+
+Reduction works in place on a `{exponent: Fraction}` dict and takes the next
+leading monomial from a heap.  Buchberger keeps its S-pairs in a heap by
+lcm (the normal selection strategy) and prunes them with the Gebauer-Moller
+criteria (J. Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, mul, sub
 
 from .poly import Polynomial, VariableContext
 
@@ -37,6 +44,15 @@ class MonomialOrder:
             return (sum(e), e)
         return (sum(e), tuple(-x for x in reversed(e)))
 
+    def _heap_key(self, exp):
+        """Flat tuple that sorts larger monomials first: `key` negated."""
+        e = self._permuted(exp)
+        if self.kind == "lex":
+            return tuple(-x for x in e)
+        if self.kind == "grlex":
+            return (-sum(e), *(-x for x in e))
+        return (-sum(e), *reversed(e))
+
 
 GREVLEX = MonomialOrder("grevlex")
 
@@ -48,28 +64,45 @@ def leading_term(f: Polynomial, order: MonomialOrder):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _monomial_mul(f: Polynomial, exp, coeff):
-    return Polynomial(
-        f.ctx,
-        {
-            tuple(a + b for a, b in zip(e, exp)): c * coeff
-            for e, c in f.terms.items()
-        },
-    )
+def _divisor(g, order):
+    """(lead exponent, lead coefficient, other terms) of a nonzero g."""
+    lead, lc = leading_term(g, order)
+    return lead, lc, [(e, c) for e, c in g.terms.items() if e != lead]
 
 
 def s_polynomial(f, g, order):
     ef, cf = leading_term(f, order)
     eg, cg = leading_term(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    uf = tuple(a - b for a, b in zip(lcm, ef))
-    ug = tuple(a - b for a, b in zip(lcm, eg))
-    return _monomial_mul(f, uf, Fraction(1, 1) / cf) - _monomial_mul(
-        g, ug, Fraction(1, 1) / cg
-    )
+    lcm = tuple(map(max, ef, eg))
+    terms = {}
+    for p, lead, scale in ((f, ef, 1 / cf), (g, eg, -1 / cg)):
+        shift = tuple(map(sub, lcm, lead))
+        for e, c in p.terms.items():
+            e = tuple(map(add, e, shift))
+            terms[e] = terms.get(e, 0) + scale * c
+    return Polynomial(f.ctx, terms)
+
+
+class _Reducers:
+    """Divisors for `normal_form` whose leading terms are already known."""
+
+    __slots__ = ("order", "generators", "table")
+
+    def __init__(self, order, generators, table):
+        self.order = order
+        self.generators = generators
+        self.table = table  # one `_divisor` entry per generator
+
+
+def _division_table(basis, order):
+    if isinstance(basis, _Reducers) and basis.order == order:
+        return basis.table
+    if hasattr(basis, "generators"):
+        basis = basis.generators
+    return [_divisor(g, order) for g in basis if g]
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=None):
@@ -79,26 +112,42 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=No
     divides the current one; the default takes the first.  For a Groebner
     basis the result does not depend on this choice.
     """
-    if hasattr(basis, "generators"):
-        basis = basis.generators
-    basis = [g for g in basis if g]
-    leads = [leading_term(g, order) for g in basis]
-    remainder = Polynomial.zero(f.ctx)
-    work = f
-    while work.terms:
-        exp = max(work.terms, key=order.key)
-        coeff = work.terms[exp]
-        candidates = [i for i, (le, _) in enumerate(leads) if _divides(le, exp)]
-        if candidates:
-            i = candidates[0] if chooser is None else chooser(candidates)
-            le, lc = leads[i]
-            shift = tuple(a - b for a, b in zip(exp, le))
-            work = work - _monomial_mul(basis[i], shift, coeff / lc)
+    table = _division_table(basis, order)
+    heap_key = order._heap_key
+    work = dict(f.terms)
+    # Lazy deletion: a heap entry whose exponent has left `work` is skipped.
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        exp = heappop(heap)[1]
+        coeff = work.pop(exp, None)
+        if coeff is None:
+            continue
+        if chooser is None:
+            hit = next((d for d in table if all(map(le, d[0], exp))), None)
         else:
-            t = Polynomial(f.ctx, {exp: coeff})
-            remainder = remainder + t
-            work = work - t
-    return remainder
+            candidates = [i for i, d in enumerate(table) if all(map(le, d[0], exp))]
+            hit = table[chooser(candidates)] if candidates else None
+        if hit is None:
+            remainder[exp] = coeff
+            continue
+        lead, lc, tail = hit
+        q = coeff / lc
+        shift = tuple(map(sub, exp, lead))
+        for e, c in tail:
+            e = tuple(map(add, e, shift))
+            v = work.get(e)
+            if v is None:
+                work[e] = -q * c
+                heappush(heap, (heap_key(e), e))
+            else:
+                v -= q * c
+                if v:
+                    work[e] = v
+                else:
+                    del work[e]
+    return Polynomial(f.ctx, remainder)
 
 
 @dataclass(frozen=True)
@@ -116,73 +165,103 @@ class GroebnerBasis:
 
 
 def _interreduce(basis, order):
-    basis = [g for g in basis if g]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            rest = basis[:i] + basis[i + 1 :]
-            r = normal_form(basis[i], rest, order)
-            if r.terms != basis[i].terms:
-                changed = True
-                if r:
-                    basis[i] = r
-                else:
-                    basis.pop(i)
-                    break
-    monic = []
-    for g in basis:
-        _, lc = leading_term(g, order)
-        monic.append(g.scale(Fraction(1, 1) / lc))
-    monic.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return monic
+    """Reduced basis from a Groebner basis with distinct leads, sorted by lead.
+
+    Elements whose lead is divisible by another lead are dropped; each
+    survivor's tail is then reduced once by the survivors.  No tail term can
+    be divisible by its own lead, so the survivor itself may stay among the
+    reducers.
+    """
+    entries = [_divisor(g, order) for g in basis]
+    leads = [d[0] for d in entries]
+    keep = [
+        i
+        for i, lead in enumerate(leads)
+        if not any(_divides(other, lead) for j, other in enumerate(leads) if j != i)
+    ]
+    reducers = _Reducers(order, [basis[i] for i in keep], [entries[i] for i in keep])
+    reduced = []
+    for i in keep:
+        lead, lc, tail = entries[i]
+        r = normal_form(Polynomial(basis[i].ctx, dict(tail)), reducers, order)
+        terms = {lead: Fraction(1)}
+        terms.update((e, c / lc) for e, c in r.terms.items())
+        reduced.append(Polynomial(basis[i].ctx, terms))
+    reduced.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    return reduced
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
     """Reduced Groebner basis of the ideal generated by gens.
 
+    S-pairs are taken by smallest lcm first.  Each new element h enters
+    through the Gebauer-Moller update.  Of the new pairs (g, h), those whose
+    lcm is a multiple of another new pair's lcm (keeping one of equal lcms)
+    and then those with coprime leads are dropped: criteria M and F, and
+    Buchberger's first criterion.  An old pair (f, g) is dropped when lt(h)
+    divides L = lcm(f, g) while lcm(f, h) != L and lcm(g, h) != L: criterion
+    B, the chain criterion.  Elements whose lead lt(h) divides leave the set
+    that S-polynomials are reduced by.
+
     With `degree_cutoff` set, S-pairs whose lcm has cohomological degree
-    above the cutoff are skipped; for homogeneous input the leading terms
-    are then still correct in all degrees up to the cutoff.
+    above the cutoff are skipped.  For homogeneous input the elements of
+    degree <= cutoff are then exactly the elements of degree <= cutoff of
+    the reduced Groebner basis, the unique truncated reduced basis; elements
+    above the cutoff are not guaranteed to be reduced, or to be in the
+    reduced basis at all.
     """
-    basis = [g for g in gens if g]
-    if not basis:
+    polys = [g for g in gens if g]
+    if not polys:
         return GroebnerBasis(order, ())
-    ctx = basis[0].ctx
-    for g in basis:
+    ctx = polys[0].ctx
+    for g in polys:
         if g.ctx != ctx:
             raise ValueError("generators live in different variable contexts")
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    key = order.key
+    elements, entries = [], []  # every element ever added, and its divisor entry
+    active = []  # indices of the elements S-polynomials are reduced by
+    pairs = []  # heap of (key(lcm), i, j, lcm)
+
+    def too_high(lcm):
+        return degree_cutoff is not None and sum(map(mul, lcm, ctx.degrees)) > degree_cutoff
+
+    def update(h):
+        nonlocal pairs, active
+        k = len(elements)
+        elements.append(h)
+        entries.append(_divisor(h, order))
+        eh = entries[k][0]
+        new = [(i, tuple(map(max, entries[i][0], eh))) for i in active]
+        kept = []
+        for n, (i, lcm) in enumerate(new):
+            coprime = lcm == tuple(map(add, entries[i][0], eh))
+            if coprime or not (
+                any(_divides(other, lcm) for _, other in new[n + 1 :])
+                or any(_divides(other, lcm) for _, other, _ in kept)
+            ):
+                kept.append((i, lcm, coprime))
+        pairs = [
+            p
+            for p in pairs
+            if not (
+                _divides(eh, p[3])
+                and tuple(map(max, entries[p[1]][0], eh)) != p[3]
+                and tuple(map(max, entries[p[2]][0], eh)) != p[3]
+            )
+        ]
+        pairs += [(key(lcm), i, k, lcm) for i, lcm, coprime in kept if not (coprime or too_high(lcm))]
+        heapify(pairs)
+        active = [i for i in active if not _divides(eh, entries[i][0])] + [k]
+        return _Reducers(order, [elements[i] for i in active], [entries[i] for i in active])
+
+    for g in polys:
+        reducers = update(g)
     while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: order.key(
-                tuple(
-                    max(a, b)
-                    for a, b in zip(
-                        leading_term(basis[p[0]], order)[0],
-                        leading_term(basis[p[1]], order)[0],
-                    )
-                )
-            ),
-        )
-        pairs.discard((i, j))
-        ei, _ = leading_term(basis[i], order)
-        ej, _ = leading_term(basis[j], order)
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        # Buchberger's coprimality criterion
-        if lcm == tuple(a + b for a, b in zip(ei, ej)):
-            continue
-        if degree_cutoff is not None:
-            lcm_degree = sum(e * d for e, d in zip(lcm, ctx.degrees))
-            if lcm_degree > degree_cutoff:
-                continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        _, i, j, _ = heappop(pairs)
+        r = normal_form(s_polynomial(elements[i], elements[j], order), reducers, order)
         if r:
-            basis.append(r)
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
-    return GroebnerBasis(order, tuple(_interreduce(basis, order)))
+            reducers = update(r)
+    return GroebnerBasis(order, tuple(_interreduce(reducers.generators, order)))
 
 
 def ideal_member(f: Polynomial, gens, order: MonomialOrder = GREVLEX) -> bool:
@@ -194,23 +273,36 @@ def ideal_member(f: Polynomial, gens, order: MonomialOrder = GREVLEX) -> bool:
 
 
 def _standard_monomials(leads, weights, cutoff):
-    """Exponent tuples of weighted degree <= cutoff outside the staircase."""
+    """(exponent, weighted degree) of each monomial outside the staircase.
+
+    Lists every monomial of weighted degree <= cutoff that no lead divides,
+    in ascending exponent order.  Coordinate i is raised over a zero-padded
+    prefix only until the prefix lies in the staircase, since every larger
+    exponent does too.  A lead whose last nonzero coordinate is i is tested
+    only at depth i: the prefixes above passed every lead that ends earlier.
+    """
     n = len(weights)
+    last = [max((i for i, e in enumerate(lead) if e), default=-1) for lead in leads]
+    if -1 in last:  # the ideal is the whole ring
+        return []
+    tests = [[lead[: i + 1] for lead, end in zip(leads, last) if end == i] for i in range(n)]
+    exp = [0] * n
     found = []
 
-    def rec(prefix, degree):
-        i = len(prefix)
+    def rec(i, degree):
         if i == n:
-            exp = tuple(prefix)
-            if not any(_divides(le, exp) for le in leads):
-                found.append(exp)
+            found.append((tuple(exp), degree))
             return
-        e = 0
-        while degree + e * weights[i] <= cutoff:
-            rec(prefix + [e], degree + e * weights[i])
-            e += 1
+        tested, weight = tests[i], weights[i]
+        while degree <= cutoff:
+            if any(all(map(le, lead, exp)) for lead in tested):
+                break
+            rec(i + 1, degree)
+            exp[i] += 1
+            degree += weight
+        exp[i] = 0
 
-    rec([], 0)
+    rec(0, 0)
     return found
 
 
@@ -229,6 +321,6 @@ def quotient_poincare(gens, ctx: VariableContext, cutoff: int):
     gb = buchberger(gens, GREVLEX, degree_cutoff=cutoff)
     leads = [leading_term(g, GREVLEX)[0] for g in gb]
     dims = [0] * (cutoff + 1)
-    for exp in _standard_monomials(leads, ctx.degrees, cutoff):
-        dims[sum(e * d for e, d in zip(exp, ctx.degrees))] += 1
+    for _, degree in _standard_monomials(leads, ctx.degrees, cutoff):
+        dims[degree] += 1
     return dims

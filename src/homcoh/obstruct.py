@@ -32,7 +32,7 @@ from .catalog import CaseSpec, EmbeddingDatum, GroupDatum
 from .cdga import FreeCDGA, GeneratorSpec, poincare_string
 from .groebner import GREVLEX, buchberger, ideal_member, normal_form
 from .linalg import RatMatrix
-from .poly import Polynomial, VariableContext, substitute_linear
+from .poly import Polynomial, VariableContext, substitute_linear, weighted_exponents
 
 TITS_NOTE = (
     "By the Tits alternative a finitely generated amenable linear group is "
@@ -184,25 +184,6 @@ def _normalize_integral(p: Polynomial) -> Polynomial:
     return scaled if lead > 0 else -scaled
 
 
-def _weighted_exponents(degrees, target):
-    """All exponent tuples with sum(e_i * degrees_i) == target."""
-    out = []
-
-    def rec(prefix, remaining):
-        i = len(prefix)
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        e = 0
-        while e * degrees[i] <= remaining:
-            rec(prefix + [e], remaining - e * degrees[i])
-            e += 1
-
-    rec([], target)
-    return out
-
-
 def express_in_generators(p: Polynomial, gens, gen_degrees, gen_ctx):
     """Write homogeneous p as a polynomial in the given generators.
 
@@ -212,7 +193,7 @@ def express_in_generators(p: Polynomial, gens, gen_degrees, gen_ctx):
     if not p:
         return Polynomial.zero(gen_ctx)
     degree = p.cohom_degree()
-    exps = _weighted_exponents(gen_degrees, degree)
+    exps = weighted_exponents(gen_degrees, degree)
     if not exps:
         return None
     products = []
@@ -283,7 +264,7 @@ def invariant_presentation(images, literal_gens, target_ctx):
     base = _normalize_integral(min(nonzero, key=lambda p: p.cohom_degree()))
     base_degree = base.cohom_degree()
     candidates = []
-    for exp in sorted(_weighted_exponents(target_ctx.degrees, base_degree)):
+    for exp in weighted_exponents(target_ctx.degrees, base_degree):
         candidates.append(Polynomial(target_ctx, {exp: Fraction(1)}))
     for candidate in candidates:
         result = attempt([base, candidate])
@@ -349,7 +330,7 @@ def literal_quotient_dims(images, literal_gens, n_literal, cutoff):
     dims[0] = 1
     for degree in range(1, cutoff + 1):
         residues = []
-        for exp in _weighted_exponents(literal_degrees, degree):
+        for exp in weighted_exponents(literal_degrees, degree):
             mono = Polynomial.constant(ctx, 1)
             for g, e in zip(literal_gens, exp):
                 if e:

@@ -44,6 +44,37 @@ class VariableContext:
         return self.names.index(name)
 
 
+def weighted_exponents(degrees, target):
+    """Exponent tuples e with sum(e_i * degrees_i) == target, ascending.
+
+    The degrees must be positive.  The last exponent is solved for rather
+    than searched.
+    """
+    n = len(degrees)
+    if n == 0:
+        return [()] if target == 0 else []
+    if target < 0:
+        return []
+    last = degrees[-1]
+    exp = [0] * n
+    out = []
+
+    def rec(i, remaining):
+        if i == n - 1:
+            if remaining % last == 0:
+                exp[i] = remaining // last
+                out.append(tuple(exp))
+            return
+        d = degrees[i]
+        for e in range(remaining // d + 1):
+            exp[i] = e
+            rec(i + 1, remaining - e * d)
+        exp[i] = 0
+
+    rec(0, target)
+    return out
+
+
 class Polynomial:
     """Exact polynomial: map from exponent tuples to nonzero rationals."""
 

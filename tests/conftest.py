@@ -1,11 +1,18 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import homcoh
 from homcoh import linalg
 from homcoh.linalg import RatMatrix
-from homcoh.poly import Polynomial, VariableContext
+from homcoh.poly import Polynomial, VariableContext, weighted_exponents
+
+# CLI tests start `python -m homcoh.cli`; the child imports the homcoh under test.
+_SRC = str(Path(homcoh.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def random_rational(rng, bound=20):
@@ -22,16 +29,7 @@ def random_polynomial(rng, ctx, max_degree=3, n_terms=4):
 
 def random_homogeneous(rng, ctx, poly_degree):
     """Random homogeneous polynomial of the given polynomial degree."""
-    exps = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == ctx.nvars - 1:
-            exps.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], poly_degree)
+    exps = weighted_exponents((1,) * ctx.nvars, poly_degree)
     terms = {e: random_rational(rng) for e in exps if rng.random() < 0.8}
     if not terms:
         terms = {exps[0]: Fraction(1)}
@@ -45,34 +43,16 @@ def quotient_dims_by_linear_algebra(gens, ctx, cutoff):
     degree d minus the rank of the span of all products m*g with g a
     generator and m a monomial of complementary degree.
     """
-
-    def monomials_of_degree(degree):
-        out = []
-
-        def rec(prefix, remaining):
-            i = len(prefix)
-            if i == ctx.nvars - 1:
-                if remaining % ctx.degrees[i] == 0:
-                    out.append(tuple(prefix + [remaining // ctx.degrees[i]]))
-                return
-            e = 0
-            while e * ctx.degrees[i] <= remaining:
-                rec(prefix + [e], remaining - e * ctx.degrees[i])
-                e += 1
-
-        rec([], degree)
-        return out
-
     dims = []
     for d in range(cutoff + 1):
-        monos = monomials_of_degree(d)
+        monos = weighted_exponents(ctx.degrees, d)
         index = {m: i for i, m in enumerate(monos)}
         columns = []
         for g in gens:
             gd = g.cohom_degree()
             if gd > d:
                 continue
-            for m in monomials_of_degree(d - gd):
+            for m in weighted_exponents(ctx.degrees, d - gd):
                 col = {}
                 for exp, c in g.terms.items():
                     key = tuple(a + b for a, b in zip(exp, m))

@@ -163,6 +163,28 @@ def test_catalog_override_with_corrupted_file(tmp_path):
     assert "INVALID" in result.stdout
 
 
+def test_catalog_missing_field_is_input_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        "# no dimension\n[group so(8)]\nfamily = D4\nrank = 4\nweyl_order = 192\n"
+        "primitive_degrees = 3, 7, 7, 11\ninvariant_degrees = 4, 8, 8, 12\n"
+    )
+    result = run_cli("--catalog", str(bad), "catalog", expect=1)
+    assert f"{bad}:2:" in result.stderr
+    assert "missing field 'dimension'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("present, missing", [("g = so(4,4)", "h"), ("h = g2(2)", "g")])
+def test_case_missing_field_is_input_error(tmp_path, present, missing):
+    bad = tmp_path / "bad.case"
+    bad.write_text(f"\n[case x/y]\n{present}\n")
+    result = run_cli("check", str(bad), expect=1)
+    assert result.stderr == f"error: {bad}:2: [case x/y] missing field {missing!r}\n"
+    assert result.stdout == ""
+
+
 def test_catalog_env_var_override(tmp_path, monkeypatch):
     empty = tmp_path / "catalog.txt"
     empty.write_text("")

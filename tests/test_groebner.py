@@ -1,22 +1,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import quotient_dims_by_linear_algebra, random_homogeneous
 from homcoh.groebner import (
     GREVLEX,
     MonomialOrder,
+    _standard_monomials,
     buchberger,
     ideal_member,
     leading_term,
     normal_form,
     quotient_poincare,
+    s_polynomial,
 )
 from homcoh.poly import (
     LinearSubstitution,
+    Polynomial,
     VariableContext,
     parse_polynomial,
     substitute_linear,
+    weighted_exponents,
     weyl_invariant_generators,
 )
 
@@ -64,8 +69,6 @@ def test_basis_is_monic_and_reduced():
 
 
 def test_s_pair_reductions_vanish_on_basis():
-    from homcoh.groebner import s_polynomial
-
     gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
     gens = list(gb)
     for i in range(len(gens)):
@@ -159,6 +162,13 @@ def test_quotient_complete_intersection_4_8():
     assert dims == quotient_dims_by_linear_algebra(gens, XY, 8)
 
 
+def test_quotient_of_the_whole_ring_and_of_no_variables():
+    assert quotient_poincare([P("x + 2*y"), P("1")], XY, 4) == [0] * 5
+    point = VariableContext((), ())
+    assert quotient_poincare([], point, 3) == [1, 0, 0, 0]
+    assert quotient_poincare([Polynomial.constant(point, 5)], point, 3) == [0] * 4
+
+
 def test_quotient_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         quotient_poincare([P("x^2 + y")], XY, 4)
@@ -187,3 +197,124 @@ def test_quotient_matches_linear_algebra_on_random_sequences(rng):
         assert dims == quotient_dims_by_linear_algebra(gens, XY, cutoff)
         if dims == _expected_ci_series((2 * d1, 2 * d2), (2, 2), cutoff):
             checked += 1
+
+
+# ---- Buchberger on random small ideals ---------------------------------
+
+NAMES = ("x", "y", "z")
+
+
+@st.composite
+def small_ideals(draw, homogeneous):
+    """(ctx, generators): 1-3 polynomials of degree <= 3 in 2-3 variables."""
+    n = draw(st.integers(2, 3))
+    ctx = VariableContext.standard(NAMES[:n])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if homogeneous:
+            exps = weighted_exponents((1,) * n, draw(st.integers(1, 3)))
+        else:
+            exps = [e for d in range(4) for e in weighted_exponents((1,) * n, d)]
+        chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=4, unique=True))
+        coeffs = st.integers(-3, 3).filter(bool)
+        gens.append(Polynomial(ctx, {e: draw(coeffs) for e in chosen}))
+    return ctx, gens
+
+
+@st.composite
+def orders(draw, n):
+    kind = draw(st.sampled_from(["grevlex", "grlex", "lex", "lex-priority"]))
+    if kind == "lex-priority":
+        return MonomialOrder("lex", tuple(draw(st.permutations(range(n)))))
+    return MonomialOrder(kind)
+
+
+def assert_reduced_basis_of(gb, gens, order):
+    leads = [leading_term(g, order) for g in gb]
+    for (lead, lc), g in zip(leads, gb):
+        assert lc == 1
+        for other, _ in leads:
+            if other != lead:
+                assert not any(all(a <= b for a, b in zip(other, e)) for e in g.terms)
+    for i, f in enumerate(gb):
+        for g in list(gb)[i + 1 :]:
+            assert not normal_form(s_polynomial(f, g, order), gb, order)
+    for f in gens:
+        assert not normal_form(f, gb, order)
+
+
+def sympy_basis(gens, order):
+    """The reduced basis from sympy, made monic under `order`."""
+    sympy = pytest.importorskip("sympy")
+    ctx = gens[0].ctx
+    symbols = sympy.symbols(ctx.names)
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+            for e, c in g.terms.items())
+        for g in gens
+    ]
+    ranked = [symbols[i] for i in order.priority] if order.priority else symbols
+    basis = set()
+    for expr in sympy.groebner(exprs, *ranked, order=order.kind, domain="QQ").exprs:
+        terms = {e: Fraction(int(c.p), int(c.q)) for e, c in sympy.Poly(expr, *symbols).terms()}
+        g = Polynomial(ctx, terms)
+        basis.add(g.scale(1 / leading_term(g, order)[1]))
+    return basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.booleans())
+def test_buchberger_gives_the_reduced_basis(data, homogeneous):
+    ctx, gens = data.draw(small_ideals(homogeneous))
+    order = data.draw(orders(ctx.nvars))
+    gb = buchberger(gens, order)
+    assert_reduced_basis_of(gb, gens, order)
+    assert set(gb) == sympy_basis(gens, order)
+
+
+def test_a4_basis_does_not_depend_on_the_presentation():
+    """f_k plus products of lower generators span the same ideal."""
+    (e2, _), (e3, _), (e4, _), (e5, _) = weyl_invariant_generators("A", 4)
+    mixed = [e2.scale(-2), e3 * 3, e4 - e2 * e2.scale(5), e5.scale(2) + e2 * e3]
+    assert buchberger(mixed) == buchberger([e2, e3, e4, e5])
+
+
+# ---- staircase counting ------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), max_size=5),
+    st.permutations((2, 4, 6)),
+    st.integers(0, 30),
+)
+def test_standard_monomials_match_a_brute_force_filter(leads, weights, cutoff):
+    leads = [tuple(le) for le in leads]
+    expected = [
+        (e, sum(a * w for a, w in zip(e, weights)))
+        for d in range(cutoff + 1)
+        for e in weighted_exponents(weights, d)
+        if not any(all(a <= b for a, b in zip(le, e)) for le in leads)
+    ]
+    assert _standard_monomials(leads, weights, cutoff) == sorted(expected)
+
+
+WEIGHTED = VariableContext(("u", "v", "w"), (2, 4, 6))
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    ctx = draw(st.sampled_from([XY, VariableContext.standard(NAMES), WEIGHTED]))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = weighted_exponents(ctx.degrees, 2 * draw(st.integers(1, 4)))
+        chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=4, unique=True))
+        gens.append(Polynomial(ctx, {e: draw(st.integers(-3, 3).filter(bool)) for e in chosen}))
+    return ctx, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_ideals(), st.integers(0, 14))
+def test_quotient_matches_linear_algebra_on_random_ideals(ideal, cutoff):
+    ctx, gens = ideal
+    assert quotient_poincare(gens, ctx, cutoff) == quotient_dims_by_linear_algebra(gens, ctx, cutoff)
