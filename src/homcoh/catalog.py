@@ -12,46 +12,35 @@ d-value, primitive degrees) is isogeny-invariant.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from math import factorial, prod
 
-from .poly import (
-    LinearSubstitution,
-    Polynomial,
-    VariableContext,
-    parse_polynomial,
-)
+from .poly import LinearSubstitution, VariableContext, parse_polynomial
 
 # Root-system data per simple family, keyed by family letter.
 # num_roots(rank), weyl_order(rank), primitive degrees(rank).
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 _FAMILY = {
     "A": {
         "roots": lambda n: n * (n + 1),
-        "weyl": lambda n: _factorial(n + 1),
+        "weyl": lambda n: factorial(n + 1),
         "primitive": lambda n: [2 * k + 1 for k in range(1, n + 1)],
     },
     "B": {
         "roots": lambda n: 2 * n * n,
-        "weyl": lambda n: 2**n * _factorial(n),
+        "weyl": lambda n: 2**n * factorial(n),
         "primitive": lambda n: [4 * k - 1 for k in range(1, n + 1)],
     },
     "C": {
         "roots": lambda n: 2 * n * n,
-        "weyl": lambda n: 2**n * _factorial(n),
+        "weyl": lambda n: 2**n * factorial(n),
         "primitive": lambda n: [4 * k - 1 for k in range(1, n + 1)],
     },
     "D": {
         "roots": lambda n: 2 * n * (n - 1),
-        "weyl": lambda n: 2 ** (n - 1) * _factorial(n),
+        "weyl": lambda n: 2 ** (n - 1) * factorial(n),
         "primitive": lambda n: sorted([4 * k - 1 for k in range(1, n)] + [2 * n - 1]),
     },
     "G2": {
@@ -63,7 +52,10 @@ _FAMILY = {
 
 
 class CatalogError(ValueError):
-    """Raised when the catalog file is malformed or fails validation."""
+    """A malformed or inconsistent catalog, case or `.cdga` file.
+
+    Errors found while reading a file start with `path:line:`.
+    """
 
 
 @dataclass(frozen=True)
@@ -76,21 +68,19 @@ class GroupDatum:
     primitive_degrees: tuple
     invariant_degrees: tuple
 
-    def validate(self):
-        roots = rank = weyl = 0
-        primitive = []
-        weyl = 1
-        for letter, n in self.family:
-            info = _FAMILY.get(letter)
-            if info is None:
+    def validate(self, groups):
+        """Check the numbers against the root system; `groups` is not needed."""
+        for letter, _ in self.family:
+            if letter not in _FAMILY:
                 raise CatalogError(f"{self.name}: unknown family {letter!r}")
-            roots += info["roots"](n)
-            rank += 2 if letter == "G2" else n
-            weyl *= info["weyl"](n)
-            primitive.extend(info["primitive"](n))
-        problems = []
+        rank = sum(2 if letter == "G2" else n for letter, n in self.family)
         if self.rank != rank:
-            problems.append(f"rank {self.rank} != root-system rank {rank}")
+            # Reported alone: the Weyl order of a mistyped rank can take long to compute.
+            raise CatalogError(f"{self.name}: rank {self.rank} != root-system rank {rank}")
+        roots = sum(_FAMILY[letter]["roots"](n) for letter, n in self.family)
+        weyl = prod(_FAMILY[letter]["weyl"](n) for letter, n in self.family)
+        primitive = [p for letter, n in self.family for p in _FAMILY[letter]["primitive"](n)]
+        problems = []
         if self.dimension != rank + roots:
             problems.append(
                 f"dimension {self.dimension} != rank + roots = {rank + roots}"
@@ -104,10 +94,7 @@ class GroupDatum:
             )
         if sorted(self.invariant_degrees) != sorted(p + 1 for p in primitive):
             problems.append("invariant_degrees are not primitive degrees + 1")
-        prod = 1
-        for d in self.invariant_degrees:
-            prod *= d // 2
-        if prod != self.weyl_order:
+        if prod(d // 2 for d in self.invariant_degrees) != self.weyl_order:
             problems.append("product of half invariant degrees != weyl_order")
         if problems:
             raise CatalogError(f"{self.name}: " + "; ".join(problems))
@@ -156,6 +143,17 @@ class EmbeddingDatum:
     restriction: LinearSubstitution
     literal_invariants: tuple  # claimed invariant generators, in target coords
 
+    def validate(self, groups):
+        for role in (self.ambient, self.subgroup):
+            if role not in groups:
+                raise CatalogError(f"embedding {self.name}: unknown group {role!r}")
+        rank = groups[self.ambient].rank
+        if self.restriction.source.nvars != rank:
+            raise CatalogError(
+                f"embedding {self.name}: source has "
+                f"{self.restriction.source.nvars} coordinates, ambient rank is {rank}"
+            )
+
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -174,55 +172,85 @@ class CaseSpec:
 # ---- structured text parsing -------------------------------------------
 
 
-def _parse_sections(text, path="<catalog>"):
+class Section(dict):
+    """The `key = value` fields of one `[header]` section of an input file.
+
+    Reading a missing key raises a CatalogError at the header's line;
+    `convert` reports a bad value at its own line.
+    """
+
+    def __init__(self, path, header, lineno):
+        super().__init__()
+        self.path = path
+        self.header = header
+        self.lineno = lineno
+        self.lines = {}
+
+    def __missing__(self, key):
+        raise self.error(f"[{self.header}] missing field {key!r}")
+
+    def error(self, message, key=None):
+        lineno = self.lineno if key is None else self.lines[key]
+        return CatalogError(f"{self.path}:{lineno}: {message}")
+
+    def convert(self, key, parse):
+        """parse(value of key); its ValueError or KeyError names the key's line."""
+        value = self[key]
+        try:
+            return parse(value)
+        except (KeyError, ValueError) as exc:
+            reason = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
+            raise self.error(f"{key}: {reason}", key) from None
+
+
+def read_sections(text, path):
+    """Split `[header]` and `key = value` lines into Sections, in file order.
+
+    `#` starts a comment.  A key may appear once per section.
+    """
     sections = []
-    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if line.lstrip().startswith("["):
-            header = line.strip().strip("[]").strip()
-            current = {"header": header, "lineno": lineno, "fields": []}
-            sections.append(current)
+        if line.startswith("["):
+            sections.append(Section(path, line.strip("[]").strip(), lineno))
             continue
-        if current is None:
+        if not sections:
             raise CatalogError(f"{path}:{lineno}: content before any [section]")
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise CatalogError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        current["fields"].append((lineno, key, value))
+        key = " ".join(key.split())
+        section = sections[-1]
+        if key in section:
+            raise CatalogError(f"{path}:{lineno}: duplicate key {key!r}")
+        section[key] = value.strip()
+        section.lines[key] = lineno
     return sections
 
 
-class _Fields(dict):
-    """A section's `key = value` fields; reading a missing key is a CatalogError."""
-
-    def __init__(self, section, path):
-        super().__init__()
-        self.where = f"{path}:{section['lineno']}: [{section['header']}]"
-
-    def __missing__(self, key):
-        raise CatalogError(f"{self.where} missing field {key!r}")
-
-
-def _field_map(section, path):
-    out = _Fields(section, path)
-    for lineno, key, value in section["fields"]:
-        if key in out:
-            raise CatalogError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
+def read_text(path):
+    """The contents of a UTF-8 input file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CatalogError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def _parse_family(value):
     factors = []
     for token in value.replace("x", " ").split():
-        token = token.strip()
         if token.upper() == "G2":
             factors.append(("G2", 2))
         else:
-            factors.append((token[0].upper(), int(token[1:])))
+            rank = int(token[1:])
+            if rank < 1:
+                raise ValueError(f"rank {rank} of {token!r} is not positive")
+            factors.append((token[0].upper(), rank))
     return tuple(factors)
 
 
@@ -230,34 +258,37 @@ def _int_list(value):
     return tuple(int(tok) for tok in value.replace(",", " ").split())
 
 
-def _parse_embedding(section, path):
-    fields = _Fields(section, path)
-    maps = []
-    for lineno, key, value in section["fields"]:
-        if key.startswith("map "):
-            maps.append((key[4:].strip(), value))
-        else:
-            fields[key] = value
-    header = section["header"]
-    # header: "embedding NAME ambient > subgroup"
-    parts = header.split(None, 1)
-    name = parts[1].strip()
+def _names(value, separator):
+    return tuple(tok.strip() for tok in value.split(separator) if tok.strip())
+
+
+def _variables(value):
+    return VariableContext.standard(_names(value, ","))
+
+
+def _parse_embedding(fields, name):
+    """`[embedding AMBIENT > SUBGROUP]`: a `map v = ...` line per source variable."""
     ambient, _, subgroup = (tok.strip() for tok in name.partition(">"))
-    source = VariableContext.standard(tuple(t.strip() for t in fields["source_vars"].split(",")))
-    target = VariableContext.standard(tuple(t.strip() for t in fields["target_vars"].split(",")))
-    images = {var: parse_polynomial(expr, target) for var, expr in maps}
-    missing = [v for v in source.names if v not in images]
-    if missing:
-        raise CatalogError(f"{path}: embedding {name}: missing map for {missing}")
-    restriction = LinearSubstitution(
-        source, target, tuple(images[v] for v in source.names)
+    source = fields.convert("source_vars", _variables)
+    target = fields.convert("target_vars", _variables)
+    images = tuple(
+        fields.convert(f"map {v}", lambda text: parse_polynomial(text, target))
+        for v in source.names
     )
-    literal = tuple(
-        parse_polynomial(tok.strip(), target)
-        for tok in fields.get("literal_invariants", "").split(",")
-        if tok.strip()
-    )
+    literal = ()
+    if "literal_invariants" in fields:
+        literal = fields.convert(
+            "literal_invariants",
+            lambda text: tuple(parse_polynomial(t, target) for t in _names(text, ",")),
+        )
+    restriction = LinearSubstitution(source, target, images)
     return EmbeddingDatum(name, ambient, subgroup, restriction, literal)
+
+
+def _lookup(records, what, name):
+    if name not in records:
+        raise KeyError(f"unknown {what} {name!r}")
+    return records[name]
 
 
 class Catalog:
@@ -270,118 +301,109 @@ class Catalog:
 
     @classmethod
     def from_text(cls, text, path="<catalog>", validate=True):
-        groups, real_forms, embeddings = {}, {}, {}
-        for section in _parse_sections(text, path):
-            header = section["header"]
-            kind, _, name = header.partition(" ")
+        tables = {"group": {}, "realform": {}, "embedding": {}}
+        for fields in read_sections(text, path):
+            kind, _, name = fields.header.partition(" ")
             name = name.strip()
+            if kind not in tables:
+                raise fields.error(f"unknown section kind {kind!r}")
+            if not name:
+                raise fields.error(f"[{kind}] section without a name")
+            if name in tables[kind]:
+                raise fields.error(f"duplicate [{kind} {name}]")
             if kind == "group":
-                fields = _field_map(section, path)
-                groups[name] = GroupDatum(
+                record = GroupDatum(
                     name=name,
-                    family=_parse_family(fields["family"]),
-                    dimension=int(fields["dimension"]),
-                    rank=int(fields["rank"]),
-                    weyl_order=int(fields["weyl_order"]),
-                    primitive_degrees=_int_list(fields["primitive_degrees"]),
-                    invariant_degrees=_int_list(fields["invariant_degrees"]),
+                    family=fields.convert("family", _parse_family),
+                    dimension=fields.convert("dimension", int),
+                    rank=fields.convert("rank", int),
+                    weyl_order=fields.convert("weyl_order", int),
+                    primitive_degrees=fields.convert("primitive_degrees", _int_list),
+                    invariant_degrees=fields.convert("invariant_degrees", _int_list),
                 )
             elif kind == "realform":
-                fields = _field_map(section, path)
-                real_forms[name] = RealFormDatum(
+                record = RealFormDatum(
                     name=name,
-                    compact_dual=fields["compact_dual"].strip(),
-                    dimension=int(fields["dimension"]),
-                    d_value=int(fields["d_value"]),
-                    maximal_compact=tuple(
-                        tok.strip()
-                        for tok in fields["maximal_compact"].split("+")
-                        if tok.strip()
-                    ),
+                    compact_dual=fields["compact_dual"],
+                    dimension=fields.convert("dimension", int),
+                    d_value=fields.convert("d_value", int),
+                    maximal_compact=_names(fields["maximal_compact"], "+"),
                 )
-            elif kind == "embedding":
-                emb = _parse_embedding(section, path)
-                embeddings[emb.name] = emb
             else:
-                raise CatalogError(f"{path}:{section['lineno']}: unknown section kind {kind!r}")
-        catalog = cls(groups, real_forms, embeddings)
+                record = _parse_embedding(fields, name)
+            tables[kind][name] = record
+        catalog = cls(tables["group"], tables["realform"], tables["embedding"])
         if validate:
             catalog.validate()
         return catalog
 
     def validate(self):
-        for g in self.groups.values():
-            g.validate()
-        for rf in self.real_forms.values():
-            rf.validate(self.groups)
-        for emb in self.embeddings.values():
-            if emb.ambient not in self.groups:
-                raise CatalogError(f"embedding {emb.name}: unknown ambient group")
-            if emb.subgroup not in self.groups:
-                raise CatalogError(f"embedding {emb.name}: unknown subgroup")
-            if emb.restriction.source.nvars != self.groups[emb.ambient].rank:
-                raise CatalogError(
-                    f"embedding {emb.name}: source has "
-                    f"{emb.restriction.source.nvars} coordinates, ambient rank is "
-                    f"{self.groups[emb.ambient].rank}"
-                )
+        for _, _, err in self.validation_report():
+            if err is not None:
+                raise CatalogError(err)
 
     def validation_report(self):
         """(record name, kind, error-or-None) for every record."""
         report = []
-        for g in self.groups.values():
-            try:
-                g.validate()
-                report.append((g.name, "group", None))
-            except CatalogError as exc:
-                report.append((g.name, "group", str(exc)))
-        for rf in self.real_forms.values():
-            try:
-                rf.validate(self.groups)
-                report.append((rf.name, "realform", None))
-            except CatalogError as exc:
-                report.append((rf.name, "realform", str(exc)))
+        for kind, records in (
+            ("group", self.groups),
+            ("realform", self.real_forms),
+            ("embedding", self.embeddings),
+        ):
+            for record in records.values():
+                try:
+                    record.validate(self.groups)
+                    report.append((record.name, kind, None))
+                except CatalogError as exc:
+                    report.append((record.name, kind, str(exc)))
         return report
 
     def lookup_group(self, name) -> GroupDatum:
-        if name not in self.groups:
-            raise KeyError(f"unknown group {name!r}")
-        return self.groups[name]
+        return _lookup(self.groups, "group", name)
 
     def lookup_real_form(self, name) -> RealFormDatum:
-        if name not in self.real_forms:
-            raise KeyError(f"unknown real form {name!r}")
-        return self.real_forms[name]
+        return _lookup(self.real_forms, "real form", name)
 
-    def case_from_fields(self, name, fields, path="<case>"):
-        g = self.lookup_real_form(fields["g"].strip())
-        h = self.lookup_real_form(fields["h"].strip())
-        g_u = self.lookup_group(g.compact_dual)
-        h_u = self.lookup_group(h.compact_dual)
+    def case_from_fields(self, name, fields):
+        """A CaseSpec from a `[case NAME]` Section, checked against the catalog."""
+        g = fields.convert("g", self.lookup_real_form)
+        h = fields.convert("h", self.lookup_real_form)
+        if g.d_value < h.d_value:
+            raise fields.error(
+                f"d(G) = {g.d_value} < d(H) = {h.d_value}; "
+                "no proper cocompact action exists",
+                "h",
+            )
         k_h = None
         if "k_h" in fields:
-            k_h = self.lookup_group(fields["k_h"].strip())
+            k_h = fields.convert("k_h", self.lookup_group)
         embedding = None
         if "embedding" in fields:
-            key = fields["embedding"].strip()
-            if key not in self.embeddings:
-                raise CatalogError(f"{path}: unknown embedding {key!r}")
-            embedding = self.embeddings[key]
-        h_compact = fields.get("h_compact", "false").strip().lower() in ("true", "yes", "1")
+            embedding = fields.convert(
+                "embedding", lambda key: _lookup(self.embeddings, "embedding", key)
+            )
+            if k_h is None:
+                raise fields.error("an embedding needs a k_h field", "embedding")
+            if (embedding.ambient, embedding.subgroup) != (g.compact_dual, k_h.name):
+                raise fields.error(
+                    f"embedding {embedding.name!r} is not "
+                    f"{g.compact_dual} > {k_h.name}, as g and k_h require",
+                    "embedding",
+                )
+        h_compact = fields.get("h_compact", "false").lower() in ("true", "yes", "1")
         if not h_compact and h.d_value == 0:
             h_compact = True
+        g_u = self.lookup_group(g.compact_dual)
+        h_u = self.lookup_group(h.compact_dual)
         return CaseSpec(name, g, h, g_u, h_u, k_h, embedding, h_compact)
 
     def load_case_file(self, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        sections = _parse_sections(text, str(path))
         cases = []
-        for section in sections:
-            kind, _, name = section["header"].partition(" ")
+        for fields in read_sections(read_text(path), str(path)):
+            kind, _, name = fields.header.partition(" ")
             if kind != "case":
-                raise CatalogError(f"{path}: expected [case ...] sections")
-            cases.append(self.case_from_fields(name.strip(), _field_map(section, path), path))
+                raise fields.error("expected [case ...] sections")
+            cases.append(self.case_from_fields(name.strip(), fields))
         return cases
 
 
@@ -394,8 +416,7 @@ def default_catalog_path():
 
 def load_catalog(path=None, validate=True) -> Catalog:
     path = path or default_catalog_path()
-    with open(path, "r", encoding="utf-8") as fh:
-        return Catalog.from_text(fh.read(), path, validate=validate)
+    return Catalog.from_text(read_text(path), path, validate=validate)
 
 
 def bundled_case_paths():

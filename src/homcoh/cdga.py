@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .catalog import read_sections
 from .linalg import RatMatrix
 from .poly import Polynomial, VariableContext, parse_polynomial, weighted_exponents
 
@@ -94,19 +95,6 @@ class FreeCDGA:
             if g.name == name:
                 return {((0,) * self.even_ctx.nvars, 1 << i): Fraction(1)}
         raise KeyError(name)
-
-    def basis_degree(self, exp, mask):
-        d = sum(e * g.degree for e, g in zip(exp, self.even_gens))
-        for i, g in enumerate(self.odd_gens):
-            if mask >> i & 1:
-                d += g.degree
-        return d
-
-    def element_degree(self, elt):
-        degs = {self.basis_degree(exp, mask) for exp, mask in elt}
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop() if degs else 0
 
     def multiply(self, a, b):
         out = {}
@@ -232,36 +220,31 @@ def cdga_to_text(algebra: FreeCDGA) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cdga_from_text(text: str) -> FreeCDGA:
+def cdga_from_text(text: str, path="<cdga>") -> FreeCDGA:
     """Parse the structured text form produced by `cdga_to_text`."""
-    section = None
-    gens = []
-    diffs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]").strip()
-            if section not in ("generators", "differential"):
-                raise ValueError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'name = value'")
-        name, value = (part.strip() for part in line.split("=", 1))
-        if section == "generators":
-            gens.append(GeneratorSpec(name, int(value)))
-        elif section == "differential":
-            diffs[name] = value
-        else:
-            raise ValueError(f"line {lineno}: content outside any section")
+    parts = {}
+    for section in read_sections(text, path):
+        if section.header not in ("generators", "differential"):
+            raise section.error(f"unknown section [{section.header}]")
+        if section.header in parts:
+            raise section.error(f"duplicate section [{section.header}]")
+        parts[section.header] = section
+    generators = parts.get("generators", {})
+    diffs = parts.get("differential", {})
+    gens = [
+        generators.convert(name, lambda value: GeneratorSpec(name, int(value)))
+        for name in generators
+    ]
     even = [g for g in gens if g.parity == 0]
     odd = [g for g in gens if g.parity == 1]
+    for name in diffs:
+        if name not in {g.name for g in odd}:
+            raise diffs.error(f"differential given for unknown generator {name!r}", name)
     ctx = VariableContext(tuple(g.name for g in even), tuple(g.degree for g in even))
-    transgressions = []
-    for g in odd:
-        text_val = diffs.pop(g.name, "0")
-        transgressions.append(parse_polynomial(text_val, ctx))
-    if diffs:
-        raise ValueError(f"differential given for unknown generators: {sorted(diffs)}")
+    transgressions = [
+        diffs.convert(g.name, lambda value: parse_polynomial(value, ctx))
+        if g.name in diffs
+        else Polynomial.zero(ctx)
+        for g in odd
+    ]
     return FreeCDGA(even, odd, transgressions)

@@ -40,9 +40,8 @@ def _load_catalog(args):
 def _read_ideal_file(path):
     """Ideal file: a `vars = ...` line, then one generator polynomial per line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
+        raw_lines = cat.read_text(path).splitlines()
+    except (OSError, cat.CatalogError) as exc:
         raise InputError(str(exc))
     ctx = None
     gens = []
@@ -50,27 +49,29 @@ def _read_ideal_file(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("vars"):
-            _, _, spec = line.partition("=")
-            names, degrees = [], []
-            for token in spec.split(","):
-                token = token.strip()
-                if not token:
-                    continue
-                name, _, deg = token.partition(":")
-                names.append(name.strip())
-                degrees.append(int(deg) if deg else 2)
-            ctx = VariableContext(tuple(names), tuple(degrees))
-            continue
-        if ctx is None:
-            raise InputError(f"{path}:{lineno}: generators before a 'vars =' line")
         try:
-            gens.append(parse_polynomial(line, ctx))
+            if line.startswith("vars"):
+                ctx = _variable_context(line.partition("=")[2])
+            elif ctx is None:
+                raise ValueError("generators before a 'vars =' line")
+            else:
+                gens.append(parse_polynomial(line, ctx))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}")
     if ctx is None:
         raise InputError(f"{path}: missing 'vars =' line")
     return ctx, gens
+
+
+def _variable_context(spec):
+    """`x2, x3:4`: variable names, each with an optional degree (default 2)."""
+    names, degrees = [], []
+    for token in spec.split(","):
+        if token.strip():
+            name, _, deg = token.partition(":")
+            names.append(name.strip())
+            degrees.append(int(deg) if deg else 2)
+    return VariableContext(tuple(names), tuple(degrees))
 
 
 def _check_cutoff(cutoff):
@@ -93,10 +94,8 @@ def cmd_check(args):
     for path in args.case_files:
         try:
             cases.extend(catalog.load_case_file(path))
-        except cat.CatalogError as exc:  # its message starts with the path
+        except (OSError, cat.CatalogError) as exc:
             raise InputError(str(exc))
-        except (OSError, KeyError, ValueError) as exc:
-            raise InputError(f"{path}: {exc}")
     reports = [run_case(case, checks=checks, cutoff=args.cutoff) for case in cases]
     if args.format == "json":
         payload = {"reports": [r.to_dict() for r in reports]}
@@ -111,9 +110,10 @@ def cmd_check(args):
 
 def cmd_cohomology(args):
     try:
-        with open(args.cdga_file, "r", encoding="utf-8") as fh:
-            algebra = cdga_from_text(fh.read())
-    except (OSError, ValueError) as exc:
+        algebra = cdga_from_text(cat.read_text(args.cdga_file), args.cdga_file)
+    except (OSError, cat.CatalogError) as exc:
+        raise InputError(str(exc))
+    except ValueError as exc:  # FreeCDGA rejects the algebra itself
         raise InputError(f"{args.cdga_file}: {exc}")
     if args.cutoff is None:
         raise InputError("--cutoff is required for cohomology")

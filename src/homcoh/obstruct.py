@@ -136,12 +136,7 @@ def check_equal_rank(case: CaseSpec) -> CheckResult:
 
 def primitive_coefficients(g_u: GroupDatum, cutoff: int):
     """Coefficients of the product of (1 + t^p) over the primitive degrees."""
-    coeffs = [0] * (cutoff + 1)
-    coeffs[0] = 1
-    for p in g_u.primitive_degrees:
-        for k in range(cutoff, p - 1, -1):
-            coeffs[k] += coeffs[k - p]
-    return coeffs
+    return _convolve_exterior([1], g_u.primitive_degrees, cutoff)
 
 
 def check_primitive_degree(g_u: GroupDatum, n: int) -> CheckResult:
@@ -238,7 +233,7 @@ def invariant_presentation(images, literal_gens, target_ctx):
     """
     nonzero = [p for p in images if p]
 
-    def attempt(gens):
+    def attempt(gens, literal):
         degrees = tuple(g.cohom_degree() for g in gens)
         ctx = VariableContext(
             tuple(f"u{i+1}" for i in range(len(gens))), degrees
@@ -249,25 +244,19 @@ def invariant_presentation(images, literal_gens, target_ctx):
             if expr is None:
                 return None
             expressed.append(expr)
-        return InvariantPresentation(tuple(gens), degrees, ctx, tuple(expressed), False)
+        return InvariantPresentation(tuple(gens), degrees, ctx, tuple(expressed), literal)
 
     if literal_gens:
-        result = attempt(list(literal_gens))
+        result = attempt(list(literal_gens), True)
         if result is not None:
-            return InvariantPresentation(
-                result.generators,
-                result.degrees,
-                result.ctx,
-                result.expressed_images,
-                True,
-            )
+            return result
     base = _normalize_integral(min(nonzero, key=lambda p: p.cohom_degree()))
     base_degree = base.cohom_degree()
     candidates = []
     for exp in weighted_exponents(target_ctx.degrees, base_degree):
         candidates.append(Polynomial(target_ctx, {exp: Fraction(1)}))
     for candidate in candidates:
-        result = attempt([base, candidate])
+        result = attempt([base, candidate], False)
         if result is not None:
             return result
     raise ValueError("no degree-matched generator pair expresses all restricted invariants")
@@ -283,8 +272,7 @@ def restricted_invariants(embedding: EmbeddingDatum, ambient: GroupDatum):
     if len(ambient.family) != 1:
         raise ValueError("embedding restriction needs a simple ambient group")
     letter, rank = ambient.family[0]
-    family = "G2" if letter == "G2" else letter
-    gens = weyl_invariant_generators(family, rank)
+    gens = weyl_invariant_generators(letter, rank)
     out = []
     for f, degree in gens:
         out.append((substitute_linear(f, embedding.restriction), degree))

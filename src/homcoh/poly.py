@@ -329,7 +329,10 @@ class _Parser:
                 raise ValueError("unbalanced parenthesis")
             return inner
         if re.fullmatch(r"\d+/\d+|\d+", tok):
-            return Polynomial.constant(self.ctx, Fraction(tok))
+            try:
+                return Polynomial.constant(self.ctx, Fraction(tok))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {tok!r}") from None
         if tok in self.ctx.names:
             return Polynomial.variable(self.ctx, tok)
         raise ValueError(f"unknown variable {tok!r}")

@@ -199,3 +199,45 @@ def test_catalog_env_var_override(tmp_path, monkeypatch):
     )
     assert result.returncode == 0
     assert "so(8)" not in result.stdout
+
+
+CATALOG = (DATA / "catalog.txt").read_text()
+CASE_3 = str(DATA / "cases" / "03_so35_g22.case")
+EMBEDDING = "embedding = so(8) > so(3)xso(3)"
+
+
+# (file name, contents, the line the error must name, argv with {} for the file)
+BAD_INPUTS = [
+    ("dup.cdga", "[generators]\nu = 2\ny3 = 3\n[differential]\ny3 = u^2\ny3 = 0\n",
+     "y3 = 0", ("cohomology", "{}", "--cutoff", "4")),
+    ("int.cdga", "[generators]\nu = 2x\n", "u = 2x", ("cohomology", "{}", "--cutoff", "4")),
+    ("int.txt", CATALOG.replace("dimension = 3\n", "dimension = 2x8\n", 1),
+     "dimension = 2x8", ("--catalog", "{}", "catalog")),
+    ("family.txt", CATALOG.replace("family = A1\n", "family = Aq\n", 1),
+     "family = Aq", ("--catalog", "{}", "catalog")),
+    ("dupmap.txt", CATALOG + "map x4 = x2\n", "map x4 = x2", ("--catalog", "{}", "check", CASE_3)),
+    ("badmap.txt", CATALOG.replace("map x4 = x2 + x3", "map x4 = x2 + y"),
+     "map x4 = x2 + y", ("--catalog", "{}", "catalog")),
+    ("noname.txt", CATALOG + "[embedding]\n", "[embedding]", ("--catalog", "{}", "catalog")),
+    ("nosuch.case", "[case x]\ng = so(4,4)\nh = nosuch\n", "h = nosuch", ("check", "{}")),
+    ("nokh.case", f"[case x]\ng = so(3,5)\nh = g2(2)\n{EMBEDDING}\n", EMBEDDING, ("check", "{}")),
+    ("mismatch.case", f"[case x]\ng = so(4,4)\nh = su(1,2)\nk_h = su(2)\n{EMBEDDING}\n",
+     EMBEDDING, ("check", "{}")),
+    ("dvalue.case", "[case x]\ng = g2(2)\nh = so(4,4)\n", "h = so(4,4)", ("check", "{}")),
+    ("degree.ideal", "vars = x:q\nx^2\n", "vars = x:q", ("groebner", "{}")),
+    ("odd.ideal", "vars = x:3, y\nx^2\n", "vars = x:3, y", ("groebner", "{}")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, bad_line, argv", BAD_INPUTS, ids=[row[0] for row in BAD_INPUTS]
+)
+def test_bad_input_is_one_error_line_with_its_line(tmp_path, name, text, bad_line, argv):
+    bad = tmp_path / name
+    bad.write_text(text)
+    lineno = text.splitlines().index(bad_line) + 1
+    result = run_cli(*(arg.format(bad) for arg in argv), expect=1)
+    assert result.stderr.startswith(f"error: {bad}:{lineno}: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
