@@ -6,7 +6,7 @@ kernel, and runs topological obstruction checks against compact
 Clifford-Klein forms of the bundled case list.
 """
 
-from .cdga import FreeCDGA, GeneratorSpec, build_cartan_algebra
+from .cdga import FreeCDGA, GeneratorSpec
 from .groebner import GroebnerBasis, MonomialOrder, buchberger, ideal_member, normal_form, quotient_poincare
 from .linalg import RatMatrix, Rational, kernel_dim, rank
 from .poly import (
@@ -30,7 +30,6 @@ __all__ = [
     "RatMatrix",
     "Rational",
     "VariableContext",
-    "build_cartan_algebra",
     "buchberger",
     "ideal_member",
     "kernel_dim",

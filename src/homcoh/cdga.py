@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .catalog import read_sections
@@ -71,6 +72,11 @@ class FreeCDGA:
                 )
             self.transgressions.append(df)
         self.transgressions = tuple(self.transgressions)
+        # (+terms, -terms) of each transgression, indexed by the sign parity
+        self._signed_terms = []
+        for df in self.transgressions:
+            plus = [(m, c.numerator if c.denominator == 1 else c) for m, c in df.terms.items()]
+            self._signed_terms.append((plus, [(m, -c) for m, c in plus]))
         self._check_d_squared()
 
     def _check_d_squared(self):
@@ -156,10 +162,15 @@ class FreeCDGA:
             dst = self.graded_basis(degree + 1)
         index = {m: i for i, m in enumerate(dst)}
         entries = {}
-        for col, mono in enumerate(src):
-            image = self.differential({mono: Fraction(1)})
-            for m, c in image.items():
-                entries[(index[m], col)] = c
+        signed_terms = self._signed_terms
+        for col, (exp, mask) in enumerate(src):
+            odd = 0  # parity of the odd generators passed so far
+            for i, terms in enumerate(signed_terms):
+                if mask >> i & 1:
+                    rest = mask ^ (1 << i)
+                    for mono, c in terms[odd]:
+                        entries[(index[(tuple(map(add, exp, mono)), rest)], col)] = c
+                    odd ^= 1
         return RatMatrix(len(dst), len(src), entries)
 
     # ---- cohomology ---------------------------------------------------
@@ -176,20 +187,6 @@ class FreeCDGA:
             prev_rank = ranks[k - 1] if k > 0 else 0
             dims.append(len(bases[k]) - ranks[k] - prev_rank)
         return dims
-
-    def poincare_polynomial(self, cutoff):
-        """Coefficient list of the Poincare polynomial up to the cutoff."""
-        return self.cohomology_dims(cutoff)
-
-
-def build_cartan_algebra(bh_gens, odd_gens, transgressions) -> FreeCDGA:
-    """Cartan-type algebra: closed even generators, d(y_j) = transgression j.
-
-    `bh_gens` and `odd_gens` are GeneratorSpec lists; transgressions are
-    polynomials in the even generators, positionally matching `odd_gens`
-    (a zero polynomial gives a closed odd generator).
-    """
-    return FreeCDGA(bh_gens, odd_gens, transgressions)
 
 
 def poincare_string(coeffs):

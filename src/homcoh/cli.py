@@ -118,7 +118,7 @@ def cmd_cohomology(args):
     if args.cutoff is None:
         raise InputError("--cutoff is required for cohomology")
     _check_cutoff(args.cutoff)
-    dims = algebra.poincare_polynomial(args.cutoff)
+    dims = algebra.cohomology_dims(args.cutoff)
     if args.format == "json":
         print(json.dumps({"dims": dims, "poincare": poincare_string(dims)}, sort_keys=True))
     else:

@@ -20,7 +20,8 @@ Rational = Fraction
 class RatMatrix:
     """Sparse matrix over the rationals, keyed by (row, col).
 
-    Immutable after construction; missing entries are zero.
+    Immutable after construction; missing entries are zero.  An entry given
+    as an int stays an int; any other value is stored as a Fraction.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -34,7 +35,8 @@ class RatMatrix:
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of bounds for {rows}x{cols}")
-            v = Fraction(v)
+            if type(v) is not int:
+                v = Fraction(v)
             if v != 0:
                 cleaned[(i, j)] = v
         self.entries = cleaned

@@ -26,7 +26,7 @@ from fractions import Fraction
 from conftest import quotient_dims_by_linear_algebra, random_homogeneous
 from homcoh import linalg
 from homcoh.catalog import bundled_case_paths, bundled_cases, load_catalog
-from homcoh.cdga import FreeCDGA, GeneratorSpec, build_cartan_algebra
+from homcoh.cdga import FreeCDGA, GeneratorSpec
 from homcoh.groebner import buchberger, ideal_member, normal_form, quotient_poincare
 from homcoh.obstruct import (
     check_dimension,
@@ -125,23 +125,23 @@ def test_criterion_4_tncz_degree_check():
 def test_criterion_5_engine_oracles(rng):
     # complex projective line
     ctx = VariableContext(("u",), (2,))
-    cp1 = build_cartan_algebra(
+    cp1 = FreeCDGA(
         [GeneratorSpec("u", 2)],
         [GeneratorSpec("y3", 3)],
         [parse_polynomial("u^2", ctx)],
     )
-    assert cp1.poincare_polynomial(2) == [1, 0, 1]
+    assert cp1.cohomology_dims(2) == [1, 0, 1]
 
     # exterior algebra on one degree-3 generator
     empty = VariableContext((), ())
-    sphere = build_cartan_algebra(
+    sphere = FreeCDGA(
         [], [GeneratorSpec("y3", 3)], [Polynomial.zero(empty)]
     )
-    assert sphere.poincare_polynomial(3) == [1, 0, 0, 1]
+    assert sphere.cohomology_dims(3) == [1, 0, 0, 1]
 
     # full flag variety of the rank-2 special unitary group
     zctx = VariableContext(("z1", "z2", "z3"), (2, 2, 2))
-    flag = build_cartan_algebra(
+    flag = FreeCDGA(
         [GeneratorSpec(n, 2) for n in zctx.names],
         [GeneratorSpec("y1", 1), GeneratorSpec("y3", 3), GeneratorSpec("y5", 5)],
         [
@@ -150,7 +150,7 @@ def test_criterion_5_engine_oracles(rng):
             parse_polynomial("z1*z2*z3", zctx),
         ],
     )
-    dims = flag.poincare_polynomial(6)
+    dims = flag.cohomology_dims(6)
     assert dims == [1, 0, 2, 0, 2, 0, 1]
     assert sum(dims) == 6
 
@@ -209,7 +209,7 @@ def test_criterion_7_property_suites(rng):
         GeneratorSpec("y7'", 7),
         GeneratorSpec("y11", 11),
     ]
-    algebra = build_cartan_algebra(
+    algebra = FreeCDGA(
         even,
         odd,
         [

@@ -2,23 +2,24 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homcoh import linalg
 from homcoh.cdga import (
     FreeCDGA,
     GeneratorSpec,
-    build_cartan_algebra,
     cdga_from_text,
     cdga_to_text,
     poincare_string,
 )
-from homcoh.poly import Polynomial, VariableContext, parse_polynomial
+from homcoh.poly import Polynomial, VariableContext, parse_polynomial, weighted_exponents
 
 
 def cp1_algebra():
     u = GeneratorSpec("u", 2)
     y3 = GeneratorSpec("y3", 3)
     ctx = VariableContext(("u",), (2,))
-    return build_cartan_algebra([u], [y3], [parse_polynomial("u^2", ctx)])
+    return FreeCDGA([u], [y3], [parse_polynomial("u^2", ctx)])
 
 
 def exterior(degrees):
@@ -28,7 +29,7 @@ def exterior(degrees):
         seen[d] = seen.get(d, 0) + 1
         odd.append(GeneratorSpec(f"y{d}" + "'" * (seen[d] - 1), d))
     ctx = VariableContext((), ())
-    return build_cartan_algebra([], odd, [Polynomial.zero(ctx)] * len(odd))
+    return FreeCDGA([], odd, [Polynomial.zero(ctx)] * len(odd))
 
 
 def so8_quotient_algebra():
@@ -47,7 +48,7 @@ def so8_quotient_algebra():
         Polynomial.zero(ctx),
         parse_polynomial("u1*u2^2 + u2^3", ctx),
     ]
-    return build_cartan_algebra(even, odd, transgressions)
+    return FreeCDGA(even, odd, transgressions)
 
 
 # ---- construction and validation --------------------------------------
@@ -56,7 +57,7 @@ def so8_quotient_algebra():
 def test_transgression_degree_mismatch_rejected():
     ctx = VariableContext(("u",), (2,))
     with pytest.raises(ValueError):
-        build_cartan_algebra(
+        FreeCDGA(
             [GeneratorSpec("u", 2)],
             [GeneratorSpec("y3", 3)],
             [parse_polynomial("u", ctx)],
@@ -112,7 +113,7 @@ def test_cp1_cohomology():
 
 def test_exterior_poincare_is_product():
     a = exterior([3, 7, 7, 11])
-    dims = a.poincare_polynomial(28)
+    dims = a.cohomology_dims(28)
     expected = [0] * 29
     expected[0] = 1
     for p in (3, 7, 7, 11):
@@ -130,8 +131,8 @@ def test_su3_flag_poincare():
         parse_polynomial("z1*z2 + z1*z3 + z2*z3", ctx),
         parse_polynomial("z1*z2*z3", ctx),
     ]
-    a = build_cartan_algebra(even, odd, transgressions)
-    dims = a.poincare_polynomial(6)
+    a = FreeCDGA(even, odd, transgressions)
+    dims = a.cohomology_dims(6)
     assert dims == [1, 0, 2, 0, 2, 0, 1]
     assert sum(dims) == 6  # equal rank: total dimension is the Weyl order
 
@@ -150,7 +151,7 @@ def test_u5_flag_full_poincare_is_palindromic():
         parse_polynomial(" + ".join("*".join(c) for c in combinations(names, k)), ctx)
         for k in range(1, 6)
     ]
-    dims = build_cartan_algebra(even, odd, transgressions).poincare_polynomial(20)
+    dims = FreeCDGA(even, odd, transgressions).cohomology_dims(20)
     expected = [1] + [0] * 20
     for k in range(2, 6):  # multiply by 1 + t^2 + ... + t^{2k-2}
         expected = [
@@ -175,7 +176,7 @@ def test_so8_quotient_degree_8():
 
 def test_so8_quotient_full_poincare_and_euler():
     a = so8_quotient_algebra()
-    dims = a.poincare_polynomial(22)
+    dims = a.cohomology_dims(22)
     # (1 + t^4 + t^8)(1 + t^7)^2
     expected = [0] * 23
     for i in (0, 4, 8):
@@ -188,13 +189,57 @@ def test_so8_quotient_full_poincare_and_euler():
 
 def test_euler_characteristic_consistency():
     # per degree: dim C^k = dim Z^k + rank d_k
-    from homcoh import linalg
-
     a = cp1_algebra()
     for k in range(5):
         cochains = len(a.graded_basis(k))
         mat = a.differential_matrix(k)
         assert cochains == linalg.kernel_dim(mat) + linalg.rank(mat)
+
+
+# ---- matrix of d against the reference differential -------------------
+
+# mostly non-integral: the matrix stores an integral coefficient as an int and
+# any other as a Fraction, and both kinds must match differential()
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def cartan_algebras(draw):
+    """Up to 3 even and 4 odd generators, random rational transgressions."""
+    even_degrees = draw(st.lists(st.sampled_from((2, 4)), max_size=3))
+    odd_degrees = draw(st.lists(st.sampled_from((1, 3, 5, 7)), min_size=1, max_size=4))
+    ctx = VariableContext(tuple(f"x{i}" for i in range(len(even_degrees))), tuple(even_degrees))
+    transgressions = []
+    for degree in odd_degrees:
+        monomials = weighted_exponents(ctx.degrees, degree + 1)
+        chosen = draw(st.lists(st.sampled_from(monomials), unique=True)) if monomials else []
+        transgressions.append(Polynomial(ctx, {m: draw(coefficients) for m in chosen}))
+    return FreeCDGA(
+        [GeneratorSpec(n, d) for n, d in zip(ctx.names, ctx.degrees)],
+        [GeneratorSpec(f"y{j}", d) for j, d in enumerate(odd_degrees)],
+        transgressions,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cartan_algebras())
+def test_matrix_columns_are_images_under_differential(a):
+    cutoff = 12
+    mats = []
+    for k in range(cutoff + 1):
+        src, dst = a.graded_basis(k), a.graded_basis(k + 1)
+        m = a.differential_matrix(k)
+        assert (m.rows, m.cols) == (len(dst), len(src))
+        for col, mono in enumerate(src):
+            image = a.differential({mono: Fraction(1)})
+            column = {dst[i]: v for (i, j), v in m.entries.items() if j == col}
+            assert column == image
+        mats.append(m)
+    dims = a.cohomology_dims(cutoff)
+    for k, m in enumerate(mats):
+        assert m.cols == linalg.kernel_dim(m) + linalg.rank(m)
+        below = linalg.rank(mats[k - 1]) if k else 0
+        assert dims[k] == linalg.kernel_dim(m) - below
 
 
 # ---- Leibniz rule ------------------------------------------------------

@@ -1,14 +1,21 @@
+import contextlib
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from homcoh import catalog, cdga, cli
 from homcoh.catalog import bundled_case_paths, default_catalog_path
 
 DATA = Path(default_catalog_path()).parent
+MODULES = ("linalg", "poly", "groebner", "cdga", "catalog", "obstruct", "cli")
 
 
 def run_cli(*args, expect=0):
@@ -241,3 +248,45 @@ def test_bad_input_is_one_error_line_with_its_line(tmp_path, name, text, bad_lin
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["vars = x\n(x+1)^3000\n", "vars = " + ", ".join(f"x{i}" for i in range(1, 9))
+     + "\n(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")^60\n"],
+    ids=["degree", "terms"],
+)
+def test_oversized_power_is_rejected_at_once(tmp_path, capsys, text):
+    ideal = tmp_path / "big.ideal"
+    ideal.write_text(text)
+    start = time.perf_counter()
+    assert cli.main(["groebner", str(ideal)]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {ideal}:2: ")
+
+
+def test_every_bundled_input_parses():
+    cat = catalog.load_catalog()
+    for path in bundled_case_paths():
+        assert cat.load_case_file(path)
+    for path in sorted((DATA / "cdga").glob("*.cdga")):
+        cdga.cdga_from_text(path.read_text(), str(path))
+    for path in sorted((DATA / "ideals").glob("*.ideal")):
+        assert cli._read_ideal_file(path)[1]
+
+
+def test_every_benchmark_input_parses(tmp_path):
+    """One full-size round of each benchmark workload runs without an input error."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    hc = SimpleNamespace(**{m: importlib.import_module(f"homcoh.{m}") for m in MODULES})
+    for workload in workloads.WORKLOADS:
+        for job in workloads.build(workload, 7, tmp_path, hc):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                output = job.run(hc)
+            if isinstance(output, tuple):  # a CLI job: (exit code, stdout)
+                assert output[0] in (0, 2), (job.name, err.getvalue())

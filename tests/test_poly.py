@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcoh.poly import (
     LinearSubstitution,
@@ -76,6 +79,104 @@ def test_parse_parentheses():
 def test_parse_unknown_variable():
     with pytest.raises(ValueError):
         P("z + 1")
+
+
+XYZ = VariableContext.standard(("x", "y", "z"))
+nonneg = st.fractions(min_value=0, max_value=20, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.fractions(max_denominator=9), max_size=8))
+def test_parse_inverts_str(terms):
+    f = Polynomial(XYZ, terms)
+    assert parse_polynomial(str(f), XYZ) == f
+
+
+# An expression is (text, value, kind): its text, the Polynomial it stands for
+# (built by Polynomial arithmetic), and whether it is an atom, a power, a
+# product or a sum, which decides where it needs parentheses.
+def _number(c):
+    return str(c), Polynomial.constant(XYZ, c), "atom"
+
+
+def _variable(name):
+    return name, Polynomial.variable(XYZ, name), "atom"
+
+
+def _paren(expr, kinds):
+    text, value, kind = expr
+    return (text, value) if kind in kinds else (f"({text})", value)
+
+
+@st.composite
+def _power(draw, base):
+    text, value = _paren(base, ("atom",))
+    e = draw(st.integers(0, 3))
+    return f"{text}^{e}", value**e, "power"
+
+
+@st.composite
+def _product(draw, factors):
+    parts = [_paren(f, ("atom", "power")) for f in factors]
+    text, value = parts[0]
+    for t, v in parts[1:]:
+        text += draw(st.sampled_from(("*", " * ", " ")))
+        text, value = text + t, value * v
+    return text, value, "product"
+
+
+@st.composite
+def _sum(draw, summands):
+    parts = [_paren(f, ("atom", "power", "product")) for f in summands]
+    text, value = parts[0]
+    if draw(st.booleans()):
+        text, value = "-" + text, -value
+    for t, v in parts[1:]:
+        if draw(st.booleans()):
+            text, value = f"{text} + {t}", value + v
+        else:
+            text, value = f"{text} - {t}", value - v
+    return text, value, "sum"
+
+
+expressions = st.recursive(
+    st.one_of(nonneg.map(_number), st.sampled_from(XYZ.names).map(_variable)),
+    lambda inner: st.one_of(
+        inner.flatmap(_power),
+        st.lists(inner, min_size=2, max_size=3).flatmap(_product),
+        st.lists(inner, min_size=2, max_size=3).flatmap(_sum),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions)
+def test_parse_agrees_with_polynomial_arithmetic(expr):
+    text, value, _ = expr
+    assert parse_polynomial(text, XYZ) == value
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x^257", "exponent 257 exceeds the limit 256"),
+        ("2^300", "exponent 300 exceeds the limit 256"),
+        ("(x*y)^129", "power of degree 258 exceeds the limit 256"),
+        ("x^200*y^57", "product of degree 257 exceeds the limit 256"),
+        ("(x+y)^100*(x+y)^157", "product of degree 257 exceeds the limit 256"),
+        ("(x+y+z)^25*(x+y+z)^25", "product may have 123201 terms, over the limit 100000"),
+        ("(x+y+z+1)^90", "power may have 129766 terms, over the limit 100000"),
+    ],
+)
+def test_parser_limits(text, message):
+    with pytest.raises(ValueError, match=message):
+        P(text, XYZ)
+
+
+def test_parser_limits_are_inclusive():
+    assert P("x^256") == Polynomial(XY, {(256, 0): 1})
+    assert P("(x*y)^128*1^256") == Polynomial(XY, {(128, 128): 1})
 
 
 # ---- substitution ------------------------------------------------------
