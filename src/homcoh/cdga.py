@@ -4,7 +4,9 @@ The algebras handled here are of Cartan type: a polynomial part on even
 generators (all closed) tensored with an exterior part on odd generators,
 where each odd generator maps to a polynomial in the even generators.  The
 cohomology dimensions per degree are computed by exact linear algebra on the
-graded pieces.
+graded pieces.  The entries of each differential matrix are copied from the
+signed terms of the transgressions, stored once per odd generator, with no
+arithmetic; `FreeCDGA.differential` is the reference they agree with.
 """
 
 from __future__ import annotations

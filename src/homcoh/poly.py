@@ -14,8 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
-from operator import add
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -185,14 +184,7 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, mul)
 
     # ---- printing -----------------------------------------------------
 
@@ -220,6 +212,18 @@ class Polynomial:
         return out
 
     __repr__ = __str__
+
+
+def _power(base, n, times):
+    """base**n by repeated squaring, each multiplication done by times(a, b)."""
+    result = Polynomial.constant(base.ctx, 1)
+    while n:
+        if n & 1:
+            result = times(result, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return result
 
 
 @dataclass(frozen=True)
@@ -272,9 +276,11 @@ def _tokenize(text):
     return tokens
 
 
-# Limits that keep expansion bounded: a power or product is rejected before
-# it is expanded if its polynomial degree (or a power's exponent) would exceed
-# MAX_DEGREE, or if it could have more than MAX_TERMS terms.
+# Limits that keep parsing bounded.  Every multiplication the parser does,
+# each one inside a power included, is refused before it is expanded if the
+# product's polynomial degree would exceed MAX_DEGREE or if it multiplies more
+# than MAX_TERMS pairs of terms; an exponent above MAX_DEGREE is refused too,
+# which also bounds powers of constants.
 MAX_DEGREE = 256
 MAX_TERMS = 100_000
 
@@ -283,22 +289,19 @@ def _degree(f):
     return max(map(sum, f.terms), default=0)
 
 
-def _check_size(what, degree, terms=1):
+def _bounded_product(a, b):
+    degree = _degree(a) + _degree(b)
     if degree > MAX_DEGREE:
-        raise ValueError(f"{what} of degree {degree} exceeds the limit {MAX_DEGREE}")
-    if terms > MAX_TERMS:
-        raise ValueError(f"{what} may have {terms} terms, over the limit {MAX_TERMS}")
+        raise ValueError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
+    if len(a.terms) * len(b.terms) > MAX_TERMS:
+        raise ValueError(
+            f"product of {len(a.terms)} and {len(b.terms)} terms exceeds "
+            f"the limit of {MAX_TERMS} term pairs"
+        )
+    return a * b
 
 
 class _Parser:
-    """Recursive descent over the tokens.
-
-    A factor is either a term, a pair (exponent tuple, coefficient), or a
-    Polynomial from a parenthesised sum.  A product of numbers and variable
-    powers stays one term, and a sum adds its products into one dict, so a
-    fully expanded text builds a single Polynomial at the end.
-    """
-
     def __init__(self, tokens, ctx):
         self.tokens = tokens
         self.pos = 0
@@ -313,70 +316,42 @@ class _Parser:
         return tok
 
     def parse_sum(self):
-        terms = {}
-        sign = 1
         if self.peek() == "-":
             self.take()
-            sign = -1
-        while True:
-            product = self.parse_product()
-            pairs = product.terms.items() if isinstance(product, Polynomial) else [product]
-            for exp, c in pairs:
-                # drop a cancelled term at once, so the terms keep the order
-                # that Polynomial addition gives them
-                c = terms.get(exp, 0) + sign * c
-                if c:
-                    terms[exp] = c
-                else:
-                    terms.pop(exp, None)
-            op = self.peek()
-            if op not in ("+", "-"):
-                return Polynomial(self.ctx, terms)
-            self.take()
-            sign = 1 if op == "+" else -1
+            result = -self.parse_product()
+        else:
+            result = self.parse_product()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            term = self.parse_product()
+            result = result + term if op == "+" else result - term
+        return result
 
     def parse_product(self):
-        coeff, exp, poly = Fraction(1), (0,) * self.ctx.nvars, None
-        degree = 0
+        result = self.parse_power()
         while True:
-            factor = self.parse_power()
-            if isinstance(factor, Polynomial):
-                degree += _degree(factor)
-                terms = len(poly.terms) * len(factor.terms) if poly is not None else 0
-                _check_size("product", degree, terms)
-                poly = factor if poly is None else poly * factor
-            else:
-                degree += sum(factor[0])
-                _check_size("product", degree)
-                exp = tuple(map(add, exp, factor[0]))
-                coeff *= factor[1]
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-            elif nxt is None or nxt in ("+", "-", ")", "^"):
-                break
-            # otherwise an implicit product, e.g. "2x" or "x y"
-        if poly is None:
-            return exp, coeff
-        return poly * Polynomial(self.ctx, {exp: coeff})
+                result = _bounded_product(result, self.parse_power())
+            elif nxt is not None and nxt not in ("+", "-", ")", "^"):
+                # implicit product, e.g. "2x" or "x y"
+                result = _bounded_product(result, self.parse_power())
+            else:
+                return result
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.peek() != "^":
-            return base
-        self.take()
-        exp_tok = self.take()
-        if exp_tok is None or not exp_tok.isdigit():
-            raise ValueError("exponent must be a natural number")
-        e = int(exp_tok)
-        if e > MAX_DEGREE:
-            raise ValueError(f"exponent {e} exceeds the limit {MAX_DEGREE}")
-        if isinstance(base, Polynomial):
-            bound = comb(len(base.terms) + e - 1, e) if base else 1
-            _check_size("power", _degree(base) * e, bound)
-            return base**e
-        _check_size("power", sum(base[0]) * e)
-        return tuple(x * e for x in base[0]), base[1] ** e
+        if self.peek() == "^":
+            self.take()
+            exp_tok = self.take()
+            if exp_tok is None or not exp_tok.isdigit():
+                raise ValueError("exponent must be a natural number")
+            e = int(exp_tok)
+            if e > MAX_DEGREE:
+                raise ValueError(f"exponent {e} exceeds the limit {MAX_DEGREE}")
+            return _power(base, e, _bounded_product)
+        return base
 
     def parse_atom(self):
         tok = self.take()
@@ -387,14 +362,13 @@ class _Parser:
             if self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
             return inner
-        if tok[0].isdigit():
+        if re.fullmatch(r"\d+/\d+|\d+", tok):
             try:
-                return (0,) * self.ctx.nvars, Fraction(tok)
+                return Polynomial.constant(self.ctx, Fraction(tok))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {tok!r}") from None
         if tok in self.ctx.names:
-            i = self.ctx.index(tok)
-            return tuple(int(j == i) for j in range(self.ctx.nvars)), Fraction(1)
+            return Polynomial.variable(self.ctx, tok)
         raise ValueError(f"unknown variable {tok!r}")
 
 

@@ -253,8 +253,9 @@ def test_bad_input_is_one_error_line_with_its_line(tmp_path, name, text, bad_lin
 @pytest.mark.parametrize(
     "text",
     ["vars = x\n(x+1)^3000\n", "vars = " + ", ".join(f"x{i}" for i in range(1, 9))
-     + "\n(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")^60\n"],
-    ids=["degree", "terms"],
+     + "\n(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")^60\n",
+     "vars = x, y, z\n(x+y+z)^256\n", "vars = x, y, z, w\n(x+y+z+w)^80\n"],
+    ids=["degree", "terms", "power-work-3", "power-work-4"],
 )
 def test_oversized_power_is_rejected_at_once(tmp_path, capsys, text):
     ideal = tmp_path / "big.ideal"

@@ -160,11 +160,14 @@ def test_parse_agrees_with_polynomial_arithmetic(expr):
     [
         ("x^257", "exponent 257 exceeds the limit 256"),
         ("2^300", "exponent 300 exceeds the limit 256"),
-        ("(x*y)^129", "power of degree 258 exceeds the limit 256"),
-        ("x^200*y^57", "product of degree 257 exceeds the limit 256"),
-        ("(x+y)^100*(x+y)^157", "product of degree 257 exceeds the limit 256"),
-        ("(x+y+z)^25*(x+y+z)^25", "product may have 123201 terms, over the limit 100000"),
-        ("(x+y+z+1)^90", "power may have 129766 terms, over the limit 100000"),
+        ("(x*y)^129", "polynomial degree 258 exceeds the limit 256"),
+        ("x^200*y^57", "polynomial degree 257 exceeds the limit 256"),
+        ("(x+y)^100*(x+y)^157", "polynomial degree 257 exceeds the limit 256"),
+        ("(x+y+z)^25*(x+y+z)^25", "product of 351 and 351 terms exceeds the limit of 100000 term pairs"),
+        # (x+y+z+1)^10, 286 terms, times (x+y+z+1)^16, 969 terms, on the way
+        ("(x+y+z+1)^90", "product of 286 and 969 terms exceeds the limit of 100000 term pairs"),
+        # a result of 33,153 terms, but the square of (x+y+z)^32 is too large
+        ("(x+y+z)^256", "product of 561 and 561 terms exceeds the limit of 100000 term pairs"),
     ],
 )
 def test_parser_limits(text, message):
