@@ -12,7 +12,7 @@ d-value, primitive degrees) is isogeny-invariant.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from math import factorial, prod
 
@@ -59,7 +59,14 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class GroupDatum:
+class _Record:
+    """A catalog record; `where` is the `path:line` of its section header."""
+
+    where: str = field(default="", compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class GroupDatum(_Record):
     name: str
     family: tuple  # ((letter, rank), ...) — one entry per simple factor
     dimension: int
@@ -101,7 +108,7 @@ class GroupDatum:
 
 
 @dataclass(frozen=True)
-class RealFormDatum:
+class RealFormDatum(_Record):
     name: str
     compact_dual: str
     dimension: int
@@ -134,7 +141,7 @@ class RealFormDatum:
 
 
 @dataclass(frozen=True)
-class EmbeddingDatum:
+class EmbeddingDatum(_Record):
     """Cartan-subalgebra restriction for a subgroup of a catalog group."""
 
     name: str
@@ -188,6 +195,10 @@ class Section(dict):
 
     def __missing__(self, key):
         raise self.error(f"[{self.header}] missing field {key!r}")
+
+    @property
+    def where(self):
+        return f"{self.path}:{self.lineno}"
 
     def error(self, message, key=None):
         lineno = self.lineno if key is None else self.lines[key]
@@ -282,7 +293,7 @@ def _parse_embedding(fields, name):
             lambda text: tuple(parse_polynomial(t, target) for t in _names(text, ",")),
         )
     restriction = LinearSubstitution(source, target, images)
-    return EmbeddingDatum(name, ambient, subgroup, restriction, literal)
+    return EmbeddingDatum(name, ambient, subgroup, restriction, literal, where=fields.where)
 
 
 def _lookup(records, what, name):
@@ -320,6 +331,7 @@ class Catalog:
                     weyl_order=fields.convert("weyl_order", int),
                     primitive_degrees=fields.convert("primitive_degrees", _int_list),
                     invariant_degrees=fields.convert("invariant_degrees", _int_list),
+                    where=fields.where,
                 )
             elif kind == "realform":
                 record = RealFormDatum(
@@ -328,6 +340,7 @@ class Catalog:
                     dimension=fields.convert("dimension", int),
                     d_value=fields.convert("d_value", int),
                     maximal_compact=_names(fields["maximal_compact"], "+"),
+                    where=fields.where,
                 )
             else:
                 record = _parse_embedding(fields, name)
@@ -343,7 +356,7 @@ class Catalog:
                 raise CatalogError(err)
 
     def validation_report(self):
-        """(record name, kind, error-or-None) for every record."""
+        """(record name, kind, error-or-None) for every record; errors start with `path:line`."""
         report = []
         for kind, records in (
             ("group", self.groups),
@@ -355,7 +368,7 @@ class Catalog:
                     record.validate(self.groups)
                     report.append((record.name, kind, None))
                 except CatalogError as exc:
-                    report.append((record.name, kind, str(exc)))
+                    report.append((record.name, kind, f"{record.where}: {exc}"))
         return report
 
     def lookup_group(self, name) -> GroupDatum:
@@ -390,6 +403,9 @@ class Catalog:
                     f"{g.compact_dual} > {k_h.name}, as g and k_h require",
                     "embedding",
                 )
+            if len(self.lookup_group(embedding.ambient).family) != 1:
+                message = f"ambient group {embedding.ambient} of {embedding.name!r} is not simple"
+                raise fields.error(message, "embedding")
         h_compact = fields.get("h_compact", "false").lower() in ("true", "yes", "1")
         if not h_compact and h.d_value == 0:
             h_compact = True

@@ -23,7 +23,7 @@ from . import catalog as cat
 from .cdga import cdga_from_text, poincare_string
 from .groebner import GREVLEX, MonomialOrder, buchberger, normal_form
 from .obstruct import ALL_CHECKS, run_case
-from .poly import Polynomial, VariableContext, parse_polynomial
+from .poly import VariableContext, parse_polynomial
 
 
 class InputError(Exception):

@@ -22,36 +22,28 @@ from .poly import Polynomial, VariableContext
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Graded or lexicographic monomial order with a variable priority."""
+    """Graded or lexicographic monomial order; the first variable is highest."""
 
     kind: str = "grevlex"  # grevlex | grlex | lex
-    priority: tuple = ()  # permutation of variable indices, first = highest
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "grlex", "lex"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
 
-    def _permuted(self, exp):
-        if not self.priority:
-            return exp
-        return tuple(exp[i] for i in self.priority)
-
     def key(self, exp):
-        e = self._permuted(exp)
         if self.kind == "lex":
-            return e
+            return exp
         if self.kind == "grlex":
-            return (sum(e), e)
-        return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(exp), exp)
+        return (sum(exp), tuple(-x for x in reversed(exp)))
 
     def _heap_key(self, exp):
         """Flat tuple that sorts larger monomials first: `key` negated."""
-        e = self._permuted(exp)
         if self.kind == "lex":
-            return tuple(-x for x in e)
+            return tuple(-x for x in exp)
         if self.kind == "grlex":
-            return (-sum(e), *(-x for x in e))
-        return (-sum(e), *reversed(e))
+            return (-sum(exp), *(-x for x in exp))
+        return (-sum(exp), *reversed(exp))
 
 
 GREVLEX = MonomialOrder("grevlex")

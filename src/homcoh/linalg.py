@@ -57,11 +57,6 @@ class RatMatrix:
     def __getitem__(self, key):
         return self.entries.get(key, Fraction(0))
 
-    def transpose(self):
-        return RatMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)

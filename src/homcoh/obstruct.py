@@ -29,10 +29,10 @@ from math import gcd
 
 from . import linalg
 from .catalog import CaseSpec, EmbeddingDatum, GroupDatum
-from .cdga import FreeCDGA, GeneratorSpec, poincare_string
-from .groebner import GREVLEX, buchberger, ideal_member, normal_form
+from .cdga import FreeCDGA, GeneratorSpec
+from .groebner import GREVLEX, buchberger, normal_form
 from .linalg import RatMatrix
-from .poly import Polynomial, VariableContext, substitute_linear, weighted_exponents
+from .poly import Polynomial, VariableContext, power_products, substitute_linear, weighted_exponents
 
 TITS_NOTE = (
     "By the Tits alternative a finitely generated amenable linear group is "
@@ -70,18 +70,6 @@ class ObstructionReport:
             "verdict": self.verdict,
             "narrative": list(self.narrative),
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            case_name=d["case"],
-            checks=[
-                CheckResult(c["name"], c["fired"], dict(c["data"]), list(c["notes"]))
-                for c in d["checks"]
-            ],
-            verdict=d["verdict"],
-            narrative=list(d["narrative"]),
-        )
 
     def render_text(self):
         lines = [f"case: {self.case_name}", f"verdict: {self.verdict}"]
@@ -189,27 +177,22 @@ def express_in_generators(p: Polynomial, gens, gen_degrees, gen_ctx):
         return Polynomial.zero(gen_ctx)
     degree = p.cohom_degree()
     exps = weighted_exponents(gen_degrees, degree)
-    if not exps:
+    product = power_products(gens, p.ctx)
+    monomials, matrix = _column_matrix([product(exp) for exp in exps])
+    if not p.terms.keys() <= set(monomials):  # a monomial of p is in no product
         return None
-    products = []
-    for exp in exps:
-        prod = Polynomial.constant(p.ctx, 1)
-        for g, e in zip(gens, exp):
-            if e:
-                prod = prod * g**e
-        products.append(prod)
-    monomials = sorted({m for prod in products for m in prod.terms} | set(p.terms))
-    index = {m: i for i, m in enumerate(monomials)}
-    entries = {}
-    for j, prod in enumerate(products):
-        for m, c in prod.terms.items():
-            entries[(index[m], j)] = c
-    matrix = RatMatrix(len(monomials), len(products), entries)
-    rhs = [p.terms.get(m, Fraction(0)) for m in monomials]
-    solution = linalg.solve(matrix, rhs)
+    solution = linalg.solve(matrix, [p.terms.get(m, Fraction(0)) for m in monomials])
     if solution is None:
         return None
     return Polynomial(gen_ctx, {exp: c for exp, c in zip(exps, solution) if c})
+
+
+def _column_matrix(polys):
+    """The sorted monomials of polys, and the RatMatrix with polys as columns."""
+    monomials = sorted({m for f in polys for m in f.terms})
+    index = {m: i for i, m in enumerate(monomials)}
+    entries = {(index[m], j): c for j, f in enumerate(polys) for m, c in f.terms.items()}
+    return monomials, RatMatrix(len(monomials), len(polys), entries)
 
 
 @dataclass
@@ -269,9 +252,7 @@ def restricted_invariants(embedding: EmbeddingDatum, ambient: GroupDatum):
     """Weyl invariants of the ambient group restricted through the embedding."""
     from .poly import weyl_invariant_generators
 
-    if len(ambient.family) != 1:
-        raise ValueError("embedding restriction needs a simple ambient group")
-    letter, rank = ambient.family[0]
+    ((letter, rank),) = ambient.family  # a case's ambient group is simple
     gens = weyl_invariant_generators(letter, rank)
     out = []
     for f, degree in gens:
@@ -314,23 +295,14 @@ def literal_quotient_dims(images, literal_gens, n_literal, cutoff):
     ideal_gens = [p for p in images[:n_literal] if p]
     gb = buchberger(ideal_gens, GREVLEX, degree_cutoff=cutoff)
     literal_degrees = [g.cohom_degree() for g in literal_gens]
-    dims = [0] * (cutoff + 1)
-    dims[0] = 1
+    product = power_products(literal_gens, ctx)
+    dims = [1]
     for degree in range(1, cutoff + 1):
-        residues = []
-        for exp in weighted_exponents(literal_degrees, degree):
-            mono = Polynomial.constant(ctx, 1)
-            for g, e in zip(literal_gens, exp):
-                if e:
-                    mono = mono * g**e
-            residues.append(normal_form(mono, gb, GREVLEX))
-        monomials = sorted({m for r in residues for m in r.terms})
-        index = {m: i for i, m in enumerate(monomials)}
-        entries = {}
-        for j, r in enumerate(residues):
-            for m, c in r.terms.items():
-                entries[(index[m], j)] = c
-        dims[degree] = linalg.rank(RatMatrix(len(monomials), len(residues), entries))
+        residues = [
+            normal_form(product(exp), gb, GREVLEX)
+            for exp in weighted_exponents(literal_degrees, degree)
+        ]
+        dims.append(linalg.rank(_column_matrix(residues)[1]))
     return dims
 
 

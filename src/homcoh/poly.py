@@ -215,15 +215,15 @@ class Polynomial:
 
 
 def _power(base, n, times):
-    """base**n by repeated squaring, each multiplication done by times(a, b)."""
-    result = Polynomial.constant(base.ctx, 1)
+    """base**n by repeated squaring through times(a, b); no product with 1 is formed."""
+    result = None
     while n:
         if n & 1:
-            result = times(result, base)
+            result = base if result is None else times(result, base)
         n >>= 1
         if n:
             base = times(base, base)
-    return result
+    return Polynomial.constant(base.ctx, 1) if result is None else result
 
 
 @dataclass(frozen=True)
@@ -246,18 +246,38 @@ class LinearSubstitution:
         return cls(ctx, ctx, tuple(Polynomial.variable(ctx, n) for n in ctx.names))
 
 
+def power_products(gens, ctx):
+    """Memoised lookup: exponent tuple e -> the product of gens[i]**e[i] in ctx.
+
+    A new entry is a stored entry with one exponent lowered by 1, times that
+    generator, so a table filled degree by degree costs one product per entry.
+    """
+    table = {(0,) * len(gens): Polynomial.constant(ctx, 1)}
+
+    def product(exp):
+        missing = []
+        while exp not in table:
+            i = max(j for j, e in enumerate(exp) if e)
+            missing.append((exp, i))
+            exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+        value = table[exp]
+        for exp, i in reversed(missing):
+            value = table[exp] = value * gens[i]
+        return value
+
+    return product
+
+
 def substitute_linear(f: Polynomial, s: LinearSubstitution) -> Polynomial:
     """Apply the substitution to f; a ring homomorphism into the target."""
     if f.ctx != s.source:
         raise ValueError("polynomial does not live in the substitution source")
-    result = Polynomial.zero(s.target)
+    product = power_products(s.images, s.target)
+    terms = {}
     for exp, c in f.terms.items():
-        term = Polynomial.constant(s.target, c)
-        for img, e in zip(s.images, exp):
-            if e:
-                term = term * img**e
-        result = result + term
-    return result
+        for m, v in product(exp).terms.items():
+            terms[m] = terms.get(m, 0) + c * v
+    return Polynomial(s.target, terms)
 
 
 # ---- parser ------------------------------------------------------------
@@ -278,15 +298,22 @@ def _tokenize(text):
 
 # Limits that keep parsing bounded.  Every multiplication the parser does,
 # each one inside a power included, is refused before it is expanded if the
-# product's polynomial degree would exceed MAX_DEGREE or if it multiplies more
-# than MAX_TERMS pairs of terms; an exponent above MAX_DEGREE is refused too,
-# which also bounds powers of constants.
+# product's polynomial degree would exceed MAX_DEGREE, if it multiplies more
+# than MAX_TERMS pairs of terms, or if a product of two of its coefficients
+# could need more than MAX_COEFFICIENT_BITS bits (numerator and denominator
+# together); an exponent above MAX_DEGREE is refused too.
 MAX_DEGREE = 256
 MAX_TERMS = 100_000
+MAX_COEFFICIENT_BITS = 4096
 
 
 def _degree(f):
     return max(map(sum, f.terms), default=0)
+
+
+def _coefficient_bits(f):
+    sizes = [c.numerator.bit_length() + c.denominator.bit_length() for c in f.terms.values()]
+    return max(sizes, default=0)
 
 
 def _bounded_product(a, b):
@@ -297,6 +324,11 @@ def _bounded_product(a, b):
         raise ValueError(
             f"product of {len(a.terms)} and {len(b.terms)} terms exceeds "
             f"the limit of {MAX_TERMS} term pairs"
+        )
+    bits = _coefficient_bits(a) + _coefficient_bits(b)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ValueError(
+            f"coefficients of up to {bits} bits exceed the limit of {MAX_COEFFICIENT_BITS} bits"
         )
     return a * b
 

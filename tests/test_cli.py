@@ -233,7 +233,28 @@ BAD_INPUTS = [
     ("dvalue.case", "[case x]\ng = g2(2)\nh = so(4,4)\n", "h = so(4,4)", ("check", "{}")),
     ("degree.ideal", "vars = x:q\nx^2\n", "vars = x:q", ("groebner", "{}")),
     ("odd.ideal", "vars = x:3, y\nx^2\n", "vars = x:3, y", ("groebner", "{}")),
+    ("weyl.txt", CATALOG.replace("weyl_order = 192", "weyl_order = 191"),
+     "[group so(8)]", ("--catalog", "{}", "check", CASE_3)),
+    ("nonsimple.case", "[case x]\ng = so(1,2)xso(1,2)\nh = su(1,2)\nk_h = su(2)\n"
+     "embedding = so(3)xso(3) > su(2)\n", "embedding = so(3)xso(3) > su(2)",
+     ("--catalog", "{catalog}", "check", "{}")),
 ]
+
+# The bundled catalog plus a real form whose compact dual is not simple, and
+# an embedding with that ambient group.
+NONSIMPLE_CATALOG = CATALOG + """
+[realform so(1,2)xso(1,2)]
+compact_dual = so(3)xso(3)
+dimension = 6
+d_value = 4
+maximal_compact = u(1) + u(1)
+
+[embedding so(3)xso(3) > su(2)]
+source_vars = x1, x2
+target_vars = t
+map x1 = t
+map x2 = t
+"""
 
 
 @pytest.mark.parametrize(
@@ -242,8 +263,10 @@ BAD_INPUTS = [
 def test_bad_input_is_one_error_line_with_its_line(tmp_path, name, text, bad_line, argv):
     bad = tmp_path / name
     bad.write_text(text)
+    nonsimple = tmp_path / "nonsimple.txt"
+    nonsimple.write_text(NONSIMPLE_CATALOG)
     lineno = text.splitlines().index(bad_line) + 1
-    result = run_cli(*(arg.format(bad) for arg in argv), expect=1)
+    result = run_cli(*(arg.format(bad, catalog=nonsimple) for arg in argv), expect=1)
     assert result.stderr.startswith(f"error: {bad}:{lineno}: ")
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
     assert "Traceback" not in result.stderr
@@ -254,8 +277,9 @@ def test_bad_input_is_one_error_line_with_its_line(tmp_path, name, text, bad_lin
     "text",
     ["vars = x\n(x+1)^3000\n", "vars = " + ", ".join(f"x{i}" for i in range(1, 9))
      + "\n(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")^60\n",
-     "vars = x, y, z\n(x+y+z)^256\n", "vars = x, y, z, w\n(x+y+z+w)^80\n"],
-    ids=["degree", "terms", "power-work-3", "power-work-4"],
+     "vars = x, y, z\n(x+y+z)^256\n", "vars = x, y, z, w\n(x+y+z+w)^80\n",
+     "vars = x\n((2^256)^256)^16*x\n"],
+    ids=["degree", "terms", "power-work-3", "power-work-4", "coefficient"],
 )
 def test_oversized_power_is_rejected_at_once(tmp_path, capsys, text):
     ideal = tmp_path / "big.ideal"

@@ -9,23 +9,28 @@ is reported inconclusive.  (The acceptance suite asserts the same values
 and records the originally claimed ones that computation refuted.)
 """
 
-import pytest
+from math import prod
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from homcoh import linalg
 from homcoh.catalog import bundled_cases, load_catalog
 from homcoh.groebner import quotient_poincare
+from homcoh.linalg import RatMatrix
 from homcoh.obstruct import (
-    ObstructionReport,
     check_dimension,
     check_equal_rank,
     check_primitive_degree,
     check_tncz_degree,
     express_in_generators,
     invariant_presentation,
+    literal_quotient_dims,
     primitive_coefficients,
     restricted_invariants,
     run_case,
 )
-from homcoh.poly import VariableContext, parse_polynomial
+from homcoh.poly import Polynomial, VariableContext, parse_polynomial, weighted_exponents
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +162,49 @@ def test_express_in_generators_detects_failure():
     assert express_in_generators(g4, gens, (4, 4), gen_ctx) is None
 
 
+UV = VariableContext.standard(("u", "v"))
+
+
+@st.composite
+def homogeneous(draw):
+    exps = weighted_exponents((1, 1), draw(st.integers(1, 3)))
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=1, unique=True))
+    return Polynomial(UV, {e: draw(st.integers(-3, 3).filter(bool)) for e in chosen})
+
+
+def column_rank(polys):
+    monomials = sorted({m for f in polys for m in f.terms})
+    row = {m: i for i, m in enumerate(monomials)}
+    entries = {(row[m], j): c for j, f in enumerate(polys) for m, c in f.terms.items()}
+    return linalg.rank(RatMatrix(len(monomials), len(polys), entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(homogeneous(), min_size=1, max_size=3),
+    st.lists(homogeneous(), max_size=2),
+    st.integers(1, 3),
+    st.integers(0, 10),
+)
+def test_literal_quotient_dims_match_a_groebner_free_count(images, literal, n_literal, cutoff):
+    """dim = rank(literal products and ideal multiples) - rank(ideal multiples)."""
+    n_literal = min(n_literal, len(images))
+    dims = literal_quotient_dims(images, literal, n_literal, cutoff)
+    one = Polynomial.constant(UV, 1)
+    degrees = [g.cohom_degree() for g in literal]
+    for k in range(cutoff + 1):
+        products = [
+            prod((g**e for g, e in zip(literal, exp)), start=one)
+            for exp in weighted_exponents(degrees, k)
+        ]
+        multiples = [
+            Polynomial(UV, {m: 1}) * g
+            for g in images[:n_literal]
+            for m in weighted_exponents(UV.degrees, k - g.cohom_degree())
+        ]
+        assert dims[k] == column_rank(products + multiples) - column_rank(multiples)
+
+
 def test_tncz_check_so35(cases):
     r = check_tncz_degree(cases["so(3,5)/g2(2)"])
     assert r.data["d"] == 8
@@ -219,11 +267,6 @@ def test_run_case_checks_filter(cases):
     r = run_case(cases["so(4,4)/g2(2)"], checks=("rank",))
     assert [c.name for c in r.checks] == ["rank"]
     assert r.verdict == "inconclusive"
-
-
-def test_report_dict_roundtrip(cases):
-    r = run_case(cases["so(3,5)/g2(2)"])
-    assert ObstructionReport.from_dict(r.to_dict()).to_dict() == r.to_dict()
 
 
 def test_all_checks_run_even_after_one_fires(cases):

@@ -168,6 +168,8 @@ def test_parse_agrees_with_polynomial_arithmetic(expr):
         ("(x+y+z+1)^90", "product of 286 and 969 terms exceeds the limit of 100000 term pairs"),
         # a result of 33,153 terms, but the square of (x+y+z)^32 is too large
         ("(x+y+z)^256", "product of 561 and 561 terms exceeds the limit of 100000 term pairs"),
+        # 2^2048 squared, on the way to a coefficient of about a million bits
+        ("((2^256)^256)^16*x", "coefficients of up to 4100 bits exceed the limit of 4096 bits"),
     ],
 )
 def test_parser_limits(text, message):
@@ -178,6 +180,7 @@ def test_parser_limits(text, message):
 def test_parser_limits_are_inclusive():
     assert P("x^256") == Polynomial(XY, {(256, 0): 1})
     assert P("(x*y)^128*1^256") == Polynomial(XY, {(128, 128): 1})
+    assert P("(2^128)^31*x") == Polynomial(XY, {(1, 0): 2**3968})
 
 
 # ---- substitution ------------------------------------------------------
@@ -208,13 +211,28 @@ def test_identity_substitution():
     assert substitute_linear(f, LinearSubstitution.identity(XY)) == f
 
 
+def substitute_term_by_term(f, sub):
+    """The sum over the terms c*x^e of f of c times the product of img_i**e_i."""
+    result = Polynomial.zero(sub.target)
+    for exp, c in f.terms.items():
+        term = Polynomial.constant(sub.target, c)
+        for img, e in zip(sub.images, exp):
+            term = term * img**e
+        result = result + term
+    return result
+
+
 def test_substitution_is_ring_homomorphism(rng):
     from conftest import random_polynomial
 
-    sub = d4_restriction()
+    sub = d4_restriction()  # its image of x1 is zero
+    constant = Polynomial.constant(sub.source, Fraction(-7, 3))
+    assert substitute_linear(constant, sub) == Polynomial.constant(sub.target, Fraction(-7, 3))
     for _ in range(25):
         f = random_polynomial(rng, sub.source)
         g = random_polynomial(rng, sub.source)
+        for h in (f, g, f * g, f + constant):
+            assert substitute_linear(h, sub) == substitute_term_by_term(h, sub)
         assert substitute_linear(f * g, sub) == substitute_linear(
             f, sub
         ) * substitute_linear(g, sub)
