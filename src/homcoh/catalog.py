@@ -387,6 +387,7 @@ class Catalog:
                 "no proper cocompact action exists",
                 "h",
             )
+        g_u = self.lookup_group(g.compact_dual)
         k_h = None
         if "k_h" in fields:
             k_h = fields.convert("k_h", self.lookup_group)
@@ -403,13 +404,12 @@ class Catalog:
                     f"{g.compact_dual} > {k_h.name}, as g and k_h require",
                     "embedding",
                 )
-            if len(self.lookup_group(embedding.ambient).family) != 1:
-                message = f"ambient group {embedding.ambient} of {embedding.name!r} is not simple"
+            if len(g_u.family) != 1:
+                message = f"ambient group {g_u.name} of {embedding.name!r} is not simple"
                 raise fields.error(message, "embedding")
         h_compact = fields.get("h_compact", "false").lower() in ("true", "yes", "1")
         if not h_compact and h.d_value == 0:
             h_compact = True
-        g_u = self.lookup_group(g.compact_dual)
         h_u = self.lookup_group(h.compact_dual)
         return CaseSpec(name, g, h, g_u, h_u, k_h, embedding, h_compact)
 
