@@ -79,16 +79,6 @@ class FreeCDGA:
         for df in self.transgressions:
             plus = [(m, c.numerator if c.denominator == 1 else c) for m, c in df.terms.items()]
             self._signed_terms.append((plus, [(m, -c) for m, c in plus]))
-        self._check_d_squared()
-
-    def _check_d_squared(self):
-        # d of a transgression is zero because even generators are closed;
-        # verified explicitly by differentiating each generator twice.
-        for gen in self.odd_gens:
-            ddx = self.differential(self.generator_element(gen.name))
-            ddx = self.differential(ddx)
-            if ddx:
-                raise ValueError(f"differential does not square to zero on {gen.name}")
 
     # ---- elements -----------------------------------------------------
     # An element is a dict {(even_exponents, odd_mask): Fraction}; bit i of

@@ -74,7 +74,9 @@ def s_polynomial(f, g, order):
         shift = tuple(map(sub, lcm, lead))
         for e, c in p.terms.items():
             e = tuple(map(add, e, shift))
-            terms[e] = terms.get(e, 0) + scale * c
+            c = scale * c
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
     return Polynomial(f.ctx, terms)
 
 

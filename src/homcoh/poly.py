@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from operator import mul
+from operator import add, mul
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ class Polynomial:
         for exp, c in (terms or {}).items():
             if len(exp) != ctx.nvars:
                 raise ValueError("exponent length does not match context")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 cleaned[tuple(exp)] = c
         self.terms = cleaned
 
@@ -153,7 +154,8 @@ class Polynomial:
         self._check_ctx(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            old = terms.get(exp)
+            terms[exp] = c if old is None else old + c
         return Polynomial(self.ctx, terms)
 
     def __neg__(self):
@@ -171,8 +173,10 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                old = terms.get(e)
+                terms[e] = c if old is None else old + c
         return Polynomial(self.ctx, terms)
 
     __rmul__ = __mul__
@@ -276,7 +280,9 @@ def substitute_linear(f: Polynomial, s: LinearSubstitution) -> Polynomial:
     terms = {}
     for exp, c in f.terms.items():
         for m, v in product(exp).terms.items():
-            terms[m] = terms.get(m, 0) + c * v
+            v = c * v
+            old = terms.get(m)
+            terms[m] = v if old is None else old + v
     return Polynomial(s.target, terms)
 
 
@@ -301,7 +307,11 @@ def _tokenize(text):
 # product's polynomial degree would exceed MAX_DEGREE, if it multiplies more
 # than MAX_TERMS pairs of terms, or if a product of two of its coefficients
 # could need more than MAX_COEFFICIENT_BITS bits (numerator and denominator
-# together); an exponent above MAX_DEGREE is refused too.
+# together); an exponent above MAX_DEGREE is refused too.  A sum checks each
+# coefficient against MAX_COEFFICIENT_BITS as a summand is added to it.  So
+# the limit holds for every coefficient of every product's result as well:
+# the result meets that check, or the next multiplication's, before any
+# further work uses it.
 MAX_DEGREE = 256
 MAX_TERMS = 100_000
 MAX_COEFFICIENT_BITS = 4096
@@ -316,6 +326,13 @@ def _coefficient_bits(f):
     return max(sizes, default=0)
 
 
+def _check_coefficient_bits(bits):
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ValueError(
+            f"coefficients of up to {bits} bits exceed the limit of {MAX_COEFFICIENT_BITS} bits"
+        )
+
+
 def _bounded_product(a, b):
     degree = _degree(a) + _degree(b)
     if degree > MAX_DEGREE:
@@ -325,19 +342,22 @@ def _bounded_product(a, b):
             f"product of {len(a.terms)} and {len(b.terms)} terms exceeds "
             f"the limit of {MAX_TERMS} term pairs"
         )
-    bits = _coefficient_bits(a) + _coefficient_bits(b)
-    if bits > MAX_COEFFICIENT_BITS:
-        raise ValueError(
-            f"coefficients of up to {bits} bits exceed the limit of {MAX_COEFFICIENT_BITS} bits"
-        )
+    _check_coefficient_bits(_coefficient_bits(a) + _coefficient_bits(b))
     return a * b
 
 
 class _Parser:
+    """Recursive descent.  A sum adds each summand's signed terms into one
+    dict and builds one Polynomial at the end, so it never copies a running
+    sum; products and powers go through `_bounded_product`.  A variable's
+    Polynomial is built once per parse and shared, as no Polynomial is
+    changed after it is built."""
+
     def __init__(self, tokens, ctx):
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
+        self.variables = {}  # name -> Polynomial, built at its first use
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -348,16 +368,20 @@ class _Parser:
         return tok
 
     def parse_sum(self):
-        if self.peek() == "-":
-            self.take()
-            result = -self.parse_product()
-        else:
-            result = self.parse_product()
-        while self.peek() in ("+", "-"):
+        terms = {}
+        op = self.take() if self.peek() == "-" else "+"
+        while True:
+            for exp, c in self.parse_product().terms.items():
+                if op == "-":
+                    c = -c
+                old = terms.get(exp)
+                if old is not None:
+                    c += old
+                _check_coefficient_bits(c.numerator.bit_length() + c.denominator.bit_length())
+                terms[exp] = c
+            if self.peek() not in ("+", "-"):
+                return Polynomial(self.ctx, terms)
             op = self.take()
-            term = self.parse_product()
-            result = result + term if op == "+" else result - term
-        return result
 
     def parse_product(self):
         result = self.parse_power()
@@ -400,7 +424,9 @@ class _Parser:
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {tok!r}") from None
         if tok in self.ctx.names:
-            return Polynomial.variable(self.ctx, tok)
+            if tok not in self.variables:
+                self.variables[tok] = Polynomial.variable(self.ctx, tok)
+            return self.variables[tok]
         raise ValueError(f"unknown variable {tok!r}")
 
 

@@ -66,6 +66,45 @@ def quotient_dims_by_linear_algebra(gens, ctx, cutoff):
     return dims
 
 
+def _is_prime(n):
+    """Miller-Rabin with the first 12 prime bases, which decides every n < 2**64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_below_2_63(count):
+    primes, n = [], 2**63 - 1
+    while len(primes) < count:
+        if _is_prime(n):
+            primes.append(n)
+        n -= 2
+    return primes
+
+
+# Texts in x whose factors and summands have coefficients of 64 bits but whose
+# coefficients outgrow MAX_COEFFICIENT_BITS: in a product's result (a square
+# of 128 terms with distinct 63-bit prime denominators) and in a sum (128
+# such terms in x alone).
+_PRIMES = _primes_below_2_63(128)
+WIDE_SQUARE = "(" + " + ".join(f"1/{p}*x^{i}" for i, p in enumerate(_PRIMES)) + ")^2"
+LONG_SUM = " + ".join(f"1/{p}*x" for p in _PRIMES)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import LONG_SUM, WIDE_SQUARE
 from homcoh import catalog, cdga, cli
 from homcoh.catalog import bundled_case_paths, default_catalog_path
 
@@ -196,8 +197,9 @@ def test_catalog_env_var_override(tmp_path, monkeypatch):
     empty = tmp_path / "catalog.txt"
     empty.write_text("")
     env = {"HOMCOH_CATALOG": str(empty), "PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    for name in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE"):
+        if name in os.environ:
+            env[name] = os.environ[name]
     result = subprocess.run(
         [sys.executable, "-m", "homcoh.cli", "catalog"],
         capture_output=True,
@@ -278,8 +280,9 @@ def test_bad_input_is_one_error_line_with_its_line(tmp_path, name, text, bad_lin
     ["vars = x\n(x+1)^3000\n", "vars = " + ", ".join(f"x{i}" for i in range(1, 9))
      + "\n(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")^60\n",
      "vars = x, y, z\n(x+y+z)^256\n", "vars = x, y, z, w\n(x+y+z+w)^80\n",
-     "vars = x\n((2^256)^256)^16*x\n"],
-    ids=["degree", "terms", "power-work-3", "power-work-4", "coefficient"],
+     "vars = x\n((2^256)^256)^16*x\n", f"vars = x\n{WIDE_SQUARE}\n", f"vars = x\n{LONG_SUM}\n"],
+    ids=["degree", "terms", "power-work-3", "power-work-4", "coefficient", "coefficient-product",
+         "coefficient-sum"],
 )
 def test_oversized_power_is_rejected_at_once(tmp_path, capsys, text):
     ideal = tmp_path / "big.ideal"

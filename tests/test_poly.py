@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import LONG_SUM, WIDE_SQUARE
 from homcoh.poly import (
     LinearSubstitution,
     Polynomial,
@@ -45,10 +46,28 @@ def test_ring_mismatch_rejected():
         P("x") * P("a", other)
 
 
-def test_no_zero_coefficients_stored():
-    f = P("x + y") - P("y")
-    assert f == P("x")
-    assert len(f.terms) == 1
+def _stored_as_nonzero_fractions(f):
+    return all(type(c) is Fraction and c != 0 for c in f.terms.values())
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+term_dicts = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2), coefficients, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, term_dicts, st.integers(-2, 2), st.integers(0, 3))
+def test_no_zero_coefficients_stored(f_terms, g_terms, k, e):
+    """Every result stores only nonzero Fractions, also from int inputs and cancellation."""
+    f, g = Polynomial(XY, f_terms), Polynomial(XY, g_terms)
+    sub = LinearSubstitution(XY, XY, (P("x - y"), Polynomial(XY, {(1, 0): 2, (0, 1): k})))
+    results = [
+        f, f + g, f - g, f - f, f + k, f - k, -f, f * g, f * k, k * f, f**e,
+        f.scale(k), parse_polynomial(str(f), XY), substitute_linear(f, sub),
+    ]
+    for h in results:
+        assert _stored_as_nonzero_fractions(h)
+    assert not f - f
+    assert P("x + y") - P("y") == P("x") and len((P("x + y") - P("y")).terms) == 1
 
 
 # ---- parser / printer --------------------------------------------------
@@ -72,6 +91,14 @@ def test_parse_print_roundtrip(text):
 
 def test_parse_parentheses():
     assert P("(x+y)*(x-y)") == P("x^2-y^2")
+
+
+def test_parse_cancelling_sums():
+    assert P("x - x").is_zero() and P("x - x") == Polynomial.zero(XY)
+    assert P("x + 2*x - 3*x + y") == P("y")
+    assert P("-(x+y)^2") == P("-x^2 - 2*x*y - y^2")
+    assert P("-(x - y) + 2*y") == P("3*y - x")
+    assert P("- (x+y)*(x-y)") == P("y^2 - x^2")
 
 
 def test_parse_unknown_variable():
@@ -170,6 +197,15 @@ def test_parse_agrees_with_polynomial_arithmetic(expr):
         ("(x+y+z)^256", "product of 561 and 561 terms exceeds the limit of 100000 term pairs"),
         # 2^2048 squared, on the way to a coefficient of about a million bits
         ("((2^256)^256)^16*x", "coefficients of up to 4100 bits exceed the limit of 4096 bits"),
+        # factors of 64-bit coefficients whose product has far longer ones
+        pytest.param(
+            WIDE_SQUARE, r"coefficients of up to \d+ bits exceed the limit of 4096 bits",
+            id="wide-square",
+        ),
+        # summands of 64-bit coefficients whose sum outgrows the limit
+        pytest.param(
+            LONG_SUM, "coefficients of up to 4101 bits exceed the limit of 4096 bits", id="long-sum"
+        ),
     ],
 )
 def test_parser_limits(text, message):
