@@ -5,9 +5,13 @@ all quantities consumed elsewhere in the package (membership verdicts,
 quotient dimensions) are independent of the order.
 
 Reduction works in place on a `{exponent: Fraction}` dict and takes the next
-leading monomial from a heap.  Buchberger keeps its S-pairs in a heap by
-lcm (the normal selection strategy) and prunes them with the Gebauer-Moller
-criteria (J. Symbolic Comput. 6, 1988).
+leading monomial from a heap.  Buchberger is signature-based and
+incremental (F5: J.-C. Faugere, ISSAC 2002; survey: C. Eder and
+J.-C. Faugere, J. Symbolic Comput. 80, 2017): the generators enter one at a
+time, and the S-pairs of each are taken by increasing signature and pruned
+by the syzygy and rewrite criteria.  On a regular sequence, such as the
+Weyl invariant ideals the Cartan models are built from, no S-pair reduces
+to zero.
 """
 
 from __future__ import annotations
@@ -81,14 +85,21 @@ def s_polynomial(f, g, order):
 
 
 class _Reducers:
-    """Divisors for `normal_form` whose leading terms are already known."""
+    """Divisors for `normal_form` whose leading terms are already known.
 
-    __slots__ = ("order", "generators", "table")
+    With `bound` set, reduction is regular: an entry whose signature is t
+    may reduce a term x^e only if t * x^(e - lead) lies below `bound` in the
+    monomial order.  Entries whose signature is None reduce freely.
+    """
 
-    def __init__(self, order, generators, table):
+    __slots__ = ("order", "generators", "table", "signatures", "bound")
+
+    def __init__(self, order, generators, table, signatures=None, bound=None):
         self.order = order
         self.generators = generators
         self.table = table  # one `_divisor` entry per generator
+        self.signatures = signatures
+        self.bound = bound
 
 
 def _division_table(basis, order):
@@ -104,9 +115,20 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=No
 
     `chooser(candidates)` may pick among the reducers whose leading term
     divides the current one; the default takes the first.  For a Groebner
-    basis the result does not depend on this choice.
+    basis the result does not depend on this choice.  A `_Reducers` basis
+    with a signature `bound` offers only the reducers that keep the
+    signature below it (see `_Reducers`).
     """
     table = _division_table(basis, order)
+    bound = basis.bound if isinstance(basis, _Reducers) else None
+    if bound is not None:
+        key, top, signatures = order.key, order.key(bound), basis.signatures
+
+        def regular(i, exp):
+            sig = signatures[i]
+            return sig is None or key(tuple(map(sub, map(add, sig, exp), table[i][0]))) < top
+
+    plain = chooser is None and bound is None
     heap_key = order._heap_key
     work = dict(f.terms)
     # Lazy deletion: a heap entry whose exponent has left `work` is skipped.
@@ -118,11 +140,20 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=No
         coeff = work.pop(exp, None)
         if coeff is None:
             continue
-        if chooser is None:
+        if plain:
             hit = next((d for d in table if all(map(le, d[0], exp))), None)
         else:
-            candidates = [i for i, d in enumerate(table) if all(map(le, d[0], exp))]
-            hit = table[chooser(candidates)] if candidates else None
+            candidates = (
+                i
+                for i, d in enumerate(table)
+                if all(map(le, d[0], exp)) and (bound is None or regular(i, exp))
+            )
+            if chooser is None:
+                i = next(candidates, None)
+            else:
+                candidates = list(candidates)
+                i = chooser(candidates) if candidates else None
+            hit = None if i is None else table[i]
         if hit is None:
             remainder[exp] = coeff
             continue
@@ -159,19 +190,23 @@ class GroebnerBasis:
 
 
 def _interreduce(basis, order):
-    """Reduced basis from a Groebner basis with distinct leads, sorted by lead.
+    """Reduced basis from a Groebner basis, sorted by lead.
 
-    Elements whose lead is divisible by another lead are dropped; each
-    survivor's tail is then reduced once by the survivors.  No tail term can
-    be divisible by its own lead, so the survivor itself may stay among the
-    reducers.
+    Elements whose lead is divisible by another lead are dropped, except the
+    first of equal leads; each survivor's tail is then reduced once by the
+    survivors.  No tail term can be divisible by its own lead, so the
+    survivor itself may stay among the reducers.
     """
     entries = [_divisor(g, order) for g in basis]
     leads = [d[0] for d in entries]
     keep = [
         i
         for i, lead in enumerate(leads)
-        if not any(_divides(other, lead) for j, other in enumerate(leads) if j != i)
+        if not any(
+            _divides(other, lead) and (other != lead or j < i)
+            for j, other in enumerate(leads)
+            if j != i
+        )
     ]
     reducers = _Reducers(order, [basis[i] for i in keep], [entries[i] for i in keep])
     reduced = []
@@ -185,17 +220,84 @@ def _interreduce(basis, order):
     return reduced
 
 
+def _extend(lower, f, order, too_high):
+    """Groebner basis of the ideal of lower + [f]; `lower` is a Groebner basis.
+
+    Each new element h carries a signature t: h = a*f + b, where b lies in
+    the ideal of `lower` and a has leading monomial t, so signatures order
+    like the multiples t*f.  The S-pair of h and g has the larger of their
+    signatures times the cofactors; a pair whose signatures are equal is
+    singular and skipped.  Pairs are taken in increasing signature order,
+    and one is skipped when its signature s is divisible by a lead of
+    `lower` or by a signature that reduced to zero (syzygy criterion), when
+    an element added after its larger-signature member has a signature
+    dividing s (rewrite criterion), or when a pair of signature s was
+    reduced already.  An S-polynomial is reduced freely by `lower` and
+    regularly, below s, by the new elements; a remainder whose lead is
+    reducible at signature exactly s adds nothing and is dropped.
+    """
+    key = order.key
+    first = len(lower)
+    reducers = _Reducers(order, list(lower), [_divisor(g, order) for g in lower], [None] * first)
+    h = normal_form(f, reducers, order)
+    if not h:
+        return reducers.generators
+    syzygies = [lead for lead, _, _ in reducers.table]
+    pairs = []  # heap of (key(s), i, j, s): S(i, j) of signature s, i's the larger
+
+    def insert(h, entry, sig):
+        k, lead = len(reducers.table), entry[0]
+        for i, (other, _, _) in enumerate(reducers.table):
+            lcm = tuple(map(max, lead, other))
+            if too_high(lcm):
+                continue
+            big, small, s = k, i, tuple(map(add, sig, map(sub, lcm, lead)))
+            if i >= first:
+                t = tuple(map(add, reducers.signatures[i], map(sub, lcm, other)))
+                if t == s:
+                    continue
+                if key(t) > key(s):
+                    big, small, s = i, k, t
+            if not any(_divides(z, s) for z in syzygies):
+                heappush(pairs, (key(s), big, small, s))
+        reducers.generators.append(h)
+        reducers.table.append(entry)
+        reducers.signatures.append(sig)
+
+    insert(h, _divisor(h, order), (0,) * f.ctx.nvars)
+    done = None
+    while pairs:
+        _, i, j, s = heappop(pairs)
+        if (
+            s == done
+            or any(_divides(z, s) for z in syzygies)
+            or any(_divides(t, s) for t in reducers.signatures[i + 1 :])
+        ):
+            continue
+        done = reducers.bound = s
+        h = normal_form(s_polynomial(reducers.generators[i], reducers.generators[j], order), reducers, order)
+        reducers.bound = None
+        if not h:
+            syzygies.append(s)
+            continue
+        entry = _divisor(h, order)
+        lead = entry[0]
+        if not any(
+            _divides(other, lead) and tuple(map(add, sig, map(sub, lead, other))) == s
+            for (other, _, _), sig in zip(reducers.table[first:], reducers.signatures[first:])
+        ):
+            insert(h, entry, s)
+    return reducers.generators
+
+
 def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    S-pairs are taken by smallest lcm first.  Each new element h enters
-    through the Gebauer-Moller update.  Of the new pairs (g, h), those whose
-    lcm is a multiple of another new pair's lcm (keeping one of equal lcms)
-    and then those with coprime leads are dropped: criteria M and F, and
-    Buchberger's first criterion.  An old pair (f, g) is dropped when lt(h)
-    divides L = lcm(f, g) while lcm(f, h) != L and lcm(g, h) != L: criterion
-    B, the chain criterion.  Elements whose lead lt(h) divides leave the set
-    that S-polynomials are reduced by.
+    The generators are added one at a time, smallest lead first; after
+    each, `_interreduce` gives the reduced basis so far.  The next
+    generator's signature-based loop (`_extend`, F5) reduces by that basis
+    freely, and its leads serve the syzygy criterion.  On a regular
+    sequence no S-pair reduces to zero.
 
     With `degree_cutoff` set, S-pairs whose lcm has cohomological degree
     above the cutoff are skipped.  For homogeneous input the elements of
@@ -211,51 +313,14 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
     for g in polys:
         if g.ctx != ctx:
             raise ValueError("generators live in different variable contexts")
-    key = order.key
-    elements, entries = [], []  # every element ever added, and its divisor entry
-    active = []  # indices of the elements S-polynomials are reduced by
-    pairs = []  # heap of (key(lcm), i, j, lcm)
 
     def too_high(lcm):
         return degree_cutoff is not None and sum(map(mul, lcm, ctx.degrees)) > degree_cutoff
 
-    def update(h):
-        nonlocal pairs, active
-        k = len(elements)
-        elements.append(h)
-        entries.append(_divisor(h, order))
-        eh = entries[k][0]
-        new = [(i, tuple(map(max, entries[i][0], eh))) for i in active]
-        kept = []
-        for n, (i, lcm) in enumerate(new):
-            coprime = lcm == tuple(map(add, entries[i][0], eh))
-            if coprime or not (
-                any(_divides(other, lcm) for _, other in new[n + 1 :])
-                or any(_divides(other, lcm) for _, other, _ in kept)
-            ):
-                kept.append((i, lcm, coprime))
-        pairs = [
-            p
-            for p in pairs
-            if not (
-                _divides(eh, p[3])
-                and tuple(map(max, entries[p[1]][0], eh)) != p[3]
-                and tuple(map(max, entries[p[2]][0], eh)) != p[3]
-            )
-        ]
-        pairs += [(key(lcm), i, k, lcm) for i, lcm, coprime in kept if not (coprime or too_high(lcm))]
-        heapify(pairs)
-        active = [i for i in active if not _divides(eh, entries[i][0])] + [k]
-        return _Reducers(order, [elements[i] for i in active], [entries[i] for i in active])
-
-    for g in polys:
-        reducers = update(g)
-    while pairs:
-        _, i, j, _ = heappop(pairs)
-        r = normal_form(s_polynomial(elements[i], elements[j], order), reducers, order)
-        if r:
-            reducers = update(r)
-    return GroebnerBasis(order, tuple(_interreduce(reducers.generators, order)))
+    basis = []
+    for f in sorted(polys, key=lambda g: order.key(leading_term(g, order)[0])):
+        basis = _interreduce(_extend(basis, f, order, too_high), order)
+    return GroebnerBasis(order, tuple(basis))
 
 
 def ideal_member(f: Polynomial, gens, order: MonomialOrder = GREVLEX) -> bool:
@@ -297,6 +362,9 @@ def _standard_monomials(leads, weights, cutoff):
         exp[i] = 0
 
     rec(0, 0)
+    # rec reaches itself through its closure; emptying that cell frees
+    # `found` with the caller's last reference, not at the next cyclic GC.
+    del rec
     return found
 
 

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import quotient_dims_by_linear_algebra, random_homogeneous
+from homcoh import groebner
 from homcoh.groebner import (
     GREVLEX,
     MonomialOrder,
+    _interreduce,
     _standard_monomials,
     buchberger,
     ideal_member,
@@ -272,6 +274,79 @@ def test_a4_basis_does_not_depend_on_the_presentation():
     assert buchberger(mixed) == buchberger([e2, e3, e4, e5])
 
 
+def test_interreduce_keeps_the_first_of_equal_leads():
+    g = P("x^2 + y^2")
+    assert _interreduce([g, g.scale(3)], GREVLEX) == [g]
+
+
+# ---- signature criteria ------------------------------------------------
+
+REGULAR_FAMILIES = [("A", 3), ("A", 4), ("A", 5), ("B", 5), ("D", 4), ("D", 5), ("G2", 2)]
+
+
+def perturbed_presentation(rng, pairs):
+    """f_k -> s*f_k plus up to two multiples c*(product of lower generators).
+
+    `pairs` is (generator, degree) sorted by degree.  The ideal generated by
+    the first k generators does not change, so the sequence stays regular.
+    """
+    out = []
+    for k, (f, degree) in enumerate(pairs):
+        g = f.scale(rng.choice((1, -1, 2, -2)))
+        lower = pairs[:k]
+        products = weighted_exponents([d for _, d in lower], degree) if lower else []
+        for exps in rng.sample(products, min(2, len(products))):
+            term = Polynomial.constant(f.ctx, rng.choice((1, -1, 2, -2)))
+            for (p, _), e in zip(lower, exps):
+                for _ in range(e):
+                    term = term * p
+            g = g + term
+        out.append(g)
+    return out
+
+
+def count_reductions(monkeypatch, gens):
+    """(basis, S-pairs, zero remainders) of buchberger(gens).
+
+    Counted as the benchmark tracer counts them: buchberger passes each
+    s_polynomial result straight to normal_form.
+    """
+    s_polynomial, normal_form = groebner.s_polynomial, groebner.normal_form
+    counts, last = [0, 0], [None]
+
+    def counting_s_polynomial(*args):
+        last[0] = s_polynomial(*args)
+        counts[0] += 1
+        return last[0]
+
+    def counting_normal_form(f, *args, **kwargs):
+        r = normal_form(f, *args, **kwargs)
+        if f is last[0]:
+            last[0] = None
+            counts[1] += not r
+        return r
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "s_polynomial", counting_s_polynomial)
+        m.setattr(groebner, "normal_form", counting_normal_form)
+        gb = groebner.buchberger(gens)
+    return gb, *counts
+
+
+def test_no_s_pair_reduces_to_zero_on_a_regular_sequence(monkeypatch, rng):
+    """Weyl invariants form a regular sequence, so the F5 criteria leave no zero reduction."""
+    spairs = 0
+    for family, rank in REGULAR_FAMILIES:
+        pairs = sorted(weyl_invariant_generators(family, rank), key=lambda p: p[1])
+        gb, n, zero = count_reductions(monkeypatch, [f for f, _ in pairs])
+        assert zero == 0, (family, rank)
+        mixed_gb, mixed_n, mixed_zero = count_reductions(monkeypatch, perturbed_presentation(rng, pairs))
+        assert mixed_zero == 0, (family, rank, "perturbed")
+        assert mixed_gb == gb
+        spairs += n + mixed_n
+    assert spairs > 0
+
+
 # ---- staircase counting ------------------------------------------------
 
 
@@ -311,3 +386,14 @@ def homogeneous_ideals(draw):
 def test_quotient_matches_linear_algebra_on_random_ideals(ideal, cutoff):
     ctx, gens = ideal
     assert quotient_poincare(gens, ctx, cutoff) == quotient_dims_by_linear_algebra(gens, ctx, cutoff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_ideals(), orders, st.integers(0, 8).map(lambda k: 2 * k))
+def test_truncated_basis_is_the_low_part_of_the_reduced_basis(ideal, order, cutoff):
+    ctx, gens = ideal
+
+    def low(gb):
+        return [g for g in gb if g.cohom_degree() <= cutoff]
+
+    assert low(buchberger(gens, order, degree_cutoff=cutoff)) == low(buchberger(gens, order))
