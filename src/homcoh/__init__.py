@@ -7,7 +7,7 @@ Clifford-Klein forms of the bundled case list.
 """
 
 from .cdga import FreeCDGA, GeneratorSpec
-from .groebner import GroebnerBasis, MonomialOrder, buchberger, ideal_member, normal_form, quotient_poincare
+from .groebner import MonomialOrder, buchberger, ideal_member, normal_form, quotient_poincare
 from .linalg import RatMatrix, Rational, kernel_dim, rank
 from .poly import (
     LinearSubstitution,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FreeCDGA",
     "GeneratorSpec",
-    "GroebnerBasis",
     "LinearSubstitution",
     "MonomialOrder",
     "Polynomial",

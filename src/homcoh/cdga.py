@@ -130,17 +130,18 @@ class FreeCDGA:
 
     def graded_basis(self, degree):
         """Deterministically ordered monomial basis of the given degree."""
-        monomials = []
+        # (mask, degree) of each odd subset that fits, grown one generator at a
+        # time so that no subset of too high a degree is ever formed
+        subsets = [(0, 0)]
+        for i, g in enumerate(self.odd_gens):
+            subsets += [(m | 1 << i, d + g.degree) for m, d in subsets if d + g.degree <= degree]
+        subsets.sort()
         even_degrees = self.even_ctx.degrees
-        for mask in range(1 << len(self.odd_gens)):
-            odd_deg = sum(
-                g.degree for i, g in enumerate(self.odd_gens) if mask >> i & 1
-            )
-            if odd_deg > degree:
-                continue
-            for exp in weighted_exponents(even_degrees, degree - odd_deg):
-                monomials.append((exp, mask))
-        return monomials
+        return [
+            (exp, mask)
+            for mask, odd_deg in subsets
+            for exp in weighted_exponents(even_degrees, degree - odd_deg)
+        ]
 
     def differential_matrix(self, degree, src=None, dst=None):
         """Matrix of d from the degree piece to the degree+1 piece.

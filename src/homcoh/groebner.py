@@ -4,14 +4,16 @@ Coefficients are exact rationals throughout.  The default order is grevlex;
 all quantities consumed elsewhere in the package (membership verdicts,
 quotient dimensions) are independent of the order.
 
-Reduction works in place on a `{exponent: Fraction}` dict and takes the next
-leading monomial from a heap.  Buchberger is signature-based and
-incremental (F5: J.-C. Faugere, ISSAC 2002; survey: C. Eder and
-J.-C. Faugere, J. Symbolic Comput. 80, 2017): the generators enter one at a
-time, and the S-pairs of each are taken by increasing signature and pruned
-by the syzygy and rewrite criteria.  On a regular sequence, such as the
-Weyl invariant ideals the Cartan models are built from, no S-pair reduces
-to zero.
+Reduction has one rule: the largest remaining term is divided by the first
+basis element whose lead divides it and, under a signature bound, keeps the
+signature below the bound.  It works in place on a `{exponent: Fraction}`
+dict, taking terms from a heap keyed by `MonomialOrder.key`.  Buchberger is
+signature-based and incremental (F5: J.-C. Faugere, ISSAC 2002; survey:
+C. Eder and J.-C. Faugere, J. Symbolic Comput. 80, 2017): the generators
+enter one at a time, and the S-pairs of each are taken by increasing
+signature and pruned by the syzygy and rewrite criteria.  On a regular
+sequence, such as the Weyl invariant ideals the Cartan models are built
+from, no S-pair reduces to zero.
 """
 
 from __future__ import annotations
@@ -35,14 +37,7 @@ class MonomialOrder:
             raise ValueError(f"unknown monomial order {self.kind!r}")
 
     def key(self, exp):
-        if self.kind == "lex":
-            return exp
-        if self.kind == "grlex":
-            return (sum(exp), exp)
-        return (sum(exp), tuple(-x for x in reversed(exp)))
-
-    def _heap_key(self, exp):
-        """Flat tuple that sorts larger monomials first: `key` negated."""
+        """Flat tuple that sorts larger monomials first."""
         if self.kind == "lex":
             return tuple(-x for x in exp)
         if self.kind == "grlex":
@@ -55,7 +50,7 @@ GREVLEX = MonomialOrder("grevlex")
 
 def leading_term(f: Polynomial, order: MonomialOrder):
     """(exponent, coefficient) of the leading monomial of a nonzero f."""
-    exp = max(f.terms, key=order.key)
+    exp = min(f.terms, key=order.key)
     return exp, f.terms[exp]
 
 
@@ -92,47 +87,39 @@ class _Reducers:
     monomial order.  Entries whose signature is None reduce freely.
     """
 
-    __slots__ = ("order", "generators", "table", "signatures", "bound")
+    __slots__ = ("generators", "table", "signatures", "bound")
 
-    def __init__(self, order, generators, table, signatures=None, bound=None):
-        self.order = order
+    def __init__(self, generators, table, signatures=None, bound=None):
         self.generators = generators
         self.table = table  # one `_divisor` entry per generator
         self.signatures = signatures
         self.bound = bound
 
 
-def _division_table(basis, order):
-    if isinstance(basis, _Reducers) and basis.order == order:
-        return basis.table
-    if hasattr(basis, "generators"):
-        basis = basis.generators
-    return [_divisor(g, order) for g in basis if g]
-
-
-def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=None):
+def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX):
     """Remainder of full multivariate division of f by the given basis.
 
-    `chooser(candidates)` may pick among the reducers whose leading term
-    divides the current one; the default takes the first.  For a Groebner
-    basis the result does not depend on this choice.  A `_Reducers` basis
-    with a signature `bound` offers only the reducers that keep the
-    signature below it (see `_Reducers`).
+    Each term, largest first, is reduced by the first basis element whose
+    leading term divides it.  For a Groebner basis the remainder does not
+    depend on the order of the basis.  A `_Reducers` basis with a signature
+    `bound` offers only the reducers that keep the signature below it (see
+    `_Reducers`).
     """
-    table = _division_table(basis, order)
-    bound = basis.bound if isinstance(basis, _Reducers) else None
+    if isinstance(basis, _Reducers):
+        table, bound = basis.table, basis.bound
+    else:
+        table, bound = [_divisor(g, order) for g in basis if g], None
+    key = order.key
     if bound is not None:
-        key, top, signatures = order.key, order.key(bound), basis.signatures
+        top, signatures = key(bound), basis.signatures
 
         def regular(i, exp):
             sig = signatures[i]
-            return sig is None or key(tuple(map(sub, map(add, sig, exp), table[i][0]))) < top
+            return sig is None or key(tuple(map(sub, map(add, sig, exp), table[i][0]))) > top
 
-    plain = chooser is None and bound is None
-    heap_key = order._heap_key
     work = dict(f.terms)
     # Lazy deletion: a heap entry whose exponent has left `work` is skipped.
-    heap = [(heap_key(e), e) for e in work]
+    heap = [(key(e), e) for e in work]
     heapify(heap)
     remainder = {}
     while heap:
@@ -140,20 +127,12 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=No
         coeff = work.pop(exp, None)
         if coeff is None:
             continue
-        if plain:
+        if bound is None:
             hit = next((d for d in table if all(map(le, d[0], exp))), None)
         else:
-            candidates = (
-                i
-                for i, d in enumerate(table)
-                if all(map(le, d[0], exp)) and (bound is None or regular(i, exp))
+            hit = next(
+                (d for i, d in enumerate(table) if all(map(le, d[0], exp)) and regular(i, exp)), None
             )
-            if chooser is None:
-                i = next(candidates, None)
-            else:
-                candidates = list(candidates)
-                i = chooser(candidates) if candidates else None
-            hit = None if i is None else table[i]
         if hit is None:
             remainder[exp] = coeff
             continue
@@ -165,7 +144,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=No
             v = work.get(e)
             if v is None:
                 work[e] = -q * c
-                heappush(heap, (heap_key(e), e))
+                heappush(heap, (key(e), e))
             else:
                 v -= q * c
                 if v:
@@ -173,20 +152,6 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX, chooser=No
                 else:
                     del work[e]
     return Polynomial(f.ctx, remainder)
-
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced generators."""
-
-    order: MonomialOrder
-    generators: tuple
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
 
 
 def _interreduce(basis, order):
@@ -208,7 +173,7 @@ def _interreduce(basis, order):
             if j != i
         )
     ]
-    reducers = _Reducers(order, [basis[i] for i in keep], [entries[i] for i in keep])
+    reducers = _Reducers([basis[i] for i in keep], [entries[i] for i in keep])
     reduced = []
     for i in keep:
         lead, lc, tail = entries[i]
@@ -216,7 +181,7 @@ def _interreduce(basis, order):
         terms = {lead: Fraction(1)}
         terms.update((e, c / lc) for e, c in r.terms.items())
         reduced.append(Polynomial(basis[i].ctx, terms))
-    reduced.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    reduced.sort(key=lambda g: order.key(leading_term(g, order)[0]), reverse=True)
     return reduced
 
 
@@ -238,12 +203,12 @@ def _extend(lower, f, order, too_high):
     """
     key = order.key
     first = len(lower)
-    reducers = _Reducers(order, list(lower), [_divisor(g, order) for g in lower], [None] * first)
+    reducers = _Reducers(list(lower), [_divisor(g, order) for g in lower], [None] * first)
     h = normal_form(f, reducers, order)
     if not h:
         return reducers.generators
     syzygies = [lead for lead, _, _ in reducers.table]
-    pairs = []  # heap of (key(s), i, j, s): S(i, j) of signature s, i's the larger
+    pairs = []  # heap of (-key(s), i, j, s): S(i, j) of signature s, i's the larger
 
     def insert(h, entry, sig):
         k, lead = len(reducers.table), entry[0]
@@ -256,10 +221,10 @@ def _extend(lower, f, order, too_high):
                 t = tuple(map(add, reducers.signatures[i], map(sub, lcm, other)))
                 if t == s:
                     continue
-                if key(t) > key(s):
+                if key(t) < key(s):
                     big, small, s = i, k, t
             if not any(_divides(z, s) for z in syzygies):
-                heappush(pairs, (key(s), big, small, s))
+                heappush(pairs, (tuple(-x for x in key(s)), big, small, s))
         reducers.generators.append(h)
         reducers.table.append(entry)
         reducers.signatures.append(sig)
@@ -291,10 +256,11 @@ def _extend(lower, f, order, too_high):
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens, as a tuple.
 
-    The generators are added one at a time, smallest lead first; after
-    each, `_interreduce` gives the reduced basis so far.  The next
+    The basis is monic and sorted by lead, smallest first.  The generators
+    are added one at a time, smallest lead first; after each,
+    `_interreduce` gives the reduced basis so far.  The next
     generator's signature-based loop (`_extend`, F5) reduces by that basis
     freely, and its leads serve the syzygy criterion.  On a regular
     sequence no S-pair reduces to zero.
@@ -308,7 +274,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
     """
     polys = [g for g in gens if g]
     if not polys:
-        return GroebnerBasis(order, ())
+        return ()
     ctx = polys[0].ctx
     for g in polys:
         if g.ctx != ctx:
@@ -318,9 +284,9 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
         return degree_cutoff is not None and sum(map(mul, lcm, ctx.degrees)) > degree_cutoff
 
     basis = []
-    for f in sorted(polys, key=lambda g: order.key(leading_term(g, order)[0])):
+    for f in sorted(polys, key=lambda g: order.key(leading_term(g, order)[0]), reverse=True):
         basis = _interreduce(_extend(basis, f, order, too_high), order)
-    return GroebnerBasis(order, tuple(basis))
+    return tuple(basis)
 
 
 def ideal_member(f: Polynomial, gens, order: MonomialOrder = GREVLEX) -> bool:

@@ -49,31 +49,28 @@ def weighted_exponents(degrees, target):
     """Exponent tuples e with sum(e_i * degrees_i) == target, ascending.
 
     The degrees must be positive.  The last exponent is solved for rather
-    than searched.
+    than searched: the others run like an odometer, rightmost fastest.
     """
-    n = len(degrees)
-    if n == 0:
+    if not degrees:
         return [()] if target == 0 else []
     if target < 0:
         return []
-    last = degrees[-1]
-    exp = [0] * n
+    *head, last = degrees
+    exp = [0] * len(head)
+    remaining = target  # target minus the weighted sum of exp
     out = []
-
-    def rec(i, remaining):
-        if i == n - 1:
-            if remaining % last == 0:
-                exp[i] = remaining // last
-                out.append(tuple(exp))
-            return
-        d = degrees[i]
-        for e in range(remaining // d + 1):
-            exp[i] = e
-            rec(i + 1, remaining - e * d)
-        exp[i] = 0
-
-    rec(0, target)
-    return out
+    while True:
+        if remaining % last == 0:
+            out.append((*exp, remaining // last))
+        i = len(head) - 1
+        while i >= 0 and remaining < head[i]:
+            remaining += exp[i] * head[i]
+            exp[i] = 0
+            i -= 1
+        if i < 0:
+            return out
+        exp[i] += 1
+        remaining -= head[i]
 
 
 class Polynomial:

@@ -1,12 +1,14 @@
 import os
 import random
 from fractions import Fraction
+from operator import le
 from pathlib import Path
 
 import pytest
 
 import homcoh
 from homcoh import linalg
+from homcoh.groebner import GREVLEX, leading_term
 from homcoh.linalg import RatMatrix
 from homcoh.poly import Polynomial, VariableContext, weighted_exponents
 
@@ -34,6 +36,15 @@ def random_homogeneous(rng, ctx, poly_degree):
     if not terms:
         terms = {exps[0]: Fraction(1)}
     return Polynomial(ctx, terms)
+
+
+def two_leads_divide_a_term(f, gb):
+    """True if some term of f is divisible by the leads of two elements of gb.
+
+    Only then can the order of the basis change which element reduces it.
+    """
+    leads = [leading_term(g, GREVLEX)[0] for g in gb]
+    return any(sum(all(map(le, lead, e)) for lead in leads) > 1 for e in f.terms)
 
 
 def quotient_dims_by_linear_algebra(gens, ctx, cutoff):

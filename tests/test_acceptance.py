@@ -23,7 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from conftest import quotient_dims_by_linear_algebra, random_homogeneous
+from conftest import quotient_dims_by_linear_algebra, random_homogeneous, two_leads_divide_a_term
 from homcoh import linalg
 from homcoh.catalog import bundled_case_paths, bundled_cases, load_catalog
 from homcoh.cdga import FreeCDGA, GeneratorSpec
@@ -234,14 +234,14 @@ def test_criterion_7_property_suites(rng):
         rhs = {k: v for k, v in rhs.items() if v}
         assert lhs == rhs
 
-    # confluence of normal forms under randomized reduction choices
-    xy = VariableContext.standard(("x", "y"))
-    gb = buchberger(
-        [parse_polynomial(s, xy) for s in ("x^2 + y", "x*y - 1", "y^3 + x")]
-    )
+    # confluence of normal forms under randomized reduction orders
+    gb = buchberger([f for f, _ in weyl_invariant_generators("A", 3)])
+    shared = 0
     for _ in range(20):
-        f = random_homogeneous(rng, xy, rng.randint(1, 5))
-        assert normal_form(f, gb, chooser=rng.choice) == normal_form(f, gb)
+        f = random_homogeneous(rng, gb[0].ctx, rng.randint(2, 5))
+        shared += two_leads_divide_a_term(f, gb)
+        assert normal_form(f, rng.sample(gb, len(gb))) == normal_form(f, gb)
+    assert shared
 
     # rank-nullity on random rational matrices
     for _ in range(15):

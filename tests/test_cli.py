@@ -294,6 +294,16 @@ def test_oversized_power_is_rejected_at_once(tmp_path, capsys, text):
     assert out == "" and err.startswith(f"error: {ideal}:2: ")
 
 
+def test_many_odd_generators_are_not_walked_subset_by_subset(tmp_path, capsys):
+    """Only the odd subsets whose degree fits the graded piece are enumerated."""
+    model = tmp_path / "exterior40.cdga"
+    model.write_text("[generators]\n" + "".join(f"y{i} = 1\n" for i in range(40)))
+    start = time.perf_counter()
+    assert cli.main(["--format", "json", "cohomology", str(model), "--cutoff", "3"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 40, 780, 9880]
+
+
 def test_every_bundled_input_parses():
     cat = catalog.load_catalog()
     for path in bundled_case_paths():

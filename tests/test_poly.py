@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from homcoh.poly import (
     parse_polynomial,
     signed_permutation_group,
     substitute_linear,
+    weighted_exponents,
     weyl_invariant_generators,
 )
 
@@ -217,6 +219,21 @@ def test_parser_limits_are_inclusive():
     assert P("x^256") == Polynomial(XY, {(256, 0): 1})
     assert P("(x*y)^128*1^256") == Polynomial(XY, {(128, 128): 1})
     assert P("(2^128)^31*x") == Polynomial(XY, {(1, 0): 2**3968})
+
+
+# ---- weighted exponents ------------------------------------------------
+
+
+def test_weighted_exponents_leave_no_cyclic_garbage():
+    """The returned list is freed with its last reference, not by the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert len(weighted_exponents((2,) * 5, 20)) == 1001
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---- substitution ------------------------------------------------------
