@@ -23,7 +23,7 @@ from . import catalog as cat
 from .cdga import cdga_from_text, poincare_string
 from .groebner import GREVLEX, MonomialOrder, buchberger, normal_form
 from .obstruct import ALL_CHECKS, run_case
-from .poly import VariableContext, parse_polynomial
+from .poly import MAX_DEGREE, VariableContext, parse_polynomial
 
 
 class InputError(Exception):
@@ -74,9 +74,19 @@ def _variable_context(spec):
     return VariableContext(tuple(names), tuple(degrees))
 
 
+# The largest --cutoff accepted: twice the parser's degree limit, the
+# cohomological degree of a degree-256 polynomial in degree-2 variables, and
+# above the top degree of E8 x E8 (2 * 248).  `cohomology_dims` builds a
+# basis in every degree up to the cutoff, so an unbounded one could take all
+# the memory there is.
+MAX_CUTOFF = 2 * MAX_DEGREE
+
+
 def _check_cutoff(cutoff):
     if cutoff is not None and cutoff < 0:
         raise InputError(f"--cutoff must be non-negative, got {cutoff}")
+    if cutoff is not None and cutoff > MAX_CUTOFF:
+        raise InputError(f"--cutoff must be at most {MAX_CUTOFF}, got {cutoff}")
 
 
 def cmd_check(args):

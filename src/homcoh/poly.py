@@ -185,7 +185,7 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        return _power(self, n, mul)
+        return _power(self, n, mul, Polynomial.constant(self.ctx, 1))
 
     # ---- printing -----------------------------------------------------
 
@@ -215,8 +215,9 @@ class Polynomial:
     __repr__ = __str__
 
 
-def _power(base, n, times):
-    """base**n by repeated squaring through times(a, b); no product with 1 is formed."""
+def _power(base, n, times, one):
+    """base**n by repeated squaring through times(a, b); `one` is base**0, and
+    no product with it is formed."""
     result = None
     while n:
         if n & 1:
@@ -224,7 +225,7 @@ def _power(base, n, times):
         n >>= 1
         if n:
             base = times(base, base)
-    return Polynomial.constant(base.ctx, 1) if result is None else result
+    return one if result is None else result
 
 
 @dataclass(frozen=True)
@@ -285,33 +286,41 @@ def substitute_linear(f: Polynomial, s: LinearSubstitution) -> Polynomial:
 
 # ---- parser ------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9']*|\^|\*|\+|-|\(|\))")
+# A token, or else (second group) the rest of the text from the end of the
+# last token, so `findall` covers the text in one pass.
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9']*|[\^*+\-()])|(.+)", re.S)
 
 
 def _tokenize(text):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse polynomial at position {pos}: {text[pos:pos+10]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+    found = _TOKEN.findall(text)
+    if found and found[-1][1]:
+        rest = found[-1][1]
+        pos = len(text) - len(rest)
+        raise ValueError(f"cannot parse polynomial at position {pos}: {rest[:10]!r}")
+    return [tok for tok, _ in found]
 
 
 # Limits that keep parsing bounded.  Every multiplication the parser does,
-# each one inside a power included, is refused before it is expanded if the
+# each one inside a power included, is refused before it is done if the
 # product's polynomial degree would exceed MAX_DEGREE, if it multiplies more
 # than MAX_TERMS pairs of terms, or if a product of two of its coefficients
 # could need more than MAX_COEFFICIENT_BITS bits (numerator and denominator
-# together); an exponent above MAX_DEGREE is refused too.  A sum checks each
-# coefficient against MAX_COEFFICIENT_BITS as a summand is added to it.  So
-# the limit holds for every coefficient of every product's result as well:
-# the result meets that check, or the next multiplication's, before any
-# further work uses it.
+# together); an exponent above MAX_DEGREE is refused too.  A product of
+# atoms (numbers, variables and their powers) is folded into one monomial
+# with the same checks: the sum of the two factors' degrees, and of their
+# coefficient sizes, where a zero monomial has degree 0 and 0 bits.  A sum
+# checks each coefficient against MAX_COEFFICIENT_BITS as a summand is added
+# to it.  So the limit holds for every coefficient of every product's result
+# as well: the result meets that check, or the next multiplication's, before
+# any further work uses it.
 MAX_DEGREE = 256
 MAX_TERMS = 100_000
 MAX_COEFFICIENT_BITS = 4096
+
+
+def _bits(c):
+    """Size of a coefficient, numerator and denominator together; 0 for zero."""
+    return c.numerator.bit_length() + c.denominator.bit_length() if c else 0
 
 
 def _degree(f):
@@ -319,8 +328,12 @@ def _degree(f):
 
 
 def _coefficient_bits(f):
-    sizes = [c.numerator.bit_length() + c.denominator.bit_length() for c in f.terms.values()]
-    return max(sizes, default=0)
+    return max(map(_bits, f.terms.values()), default=0)
+
+
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise ValueError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
 
 
 def _check_coefficient_bits(bits):
@@ -331,9 +344,7 @@ def _check_coefficient_bits(bits):
 
 
 def _bounded_product(a, b):
-    degree = _degree(a) + _degree(b)
-    if degree > MAX_DEGREE:
-        raise ValueError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
+    _check_degree(_degree(a) + _degree(b))
     if len(a.terms) * len(b.terms) > MAX_TERMS:
         raise ValueError(
             f"product of {len(a.terms)} and {len(b.terms)} terms exceeds "
@@ -343,88 +354,120 @@ def _bounded_product(a, b):
     return a * b
 
 
+def _monomial_product(a, b):
+    """Product of monomials (exp, c), checked as `_bounded_product` checks
+    the product of their one-term Polynomials.  A zero monomial keeps the
+    zero exponent."""
+    (e1, c1), (e2, c2) = a, b
+    _check_degree(sum(e1) + sum(e2))
+    _check_coefficient_bits(_bits(c1) + _bits(c2))
+    if not c1:
+        return a
+    if not c2:
+        return b
+    return tuple(map(add, e1, e2)), c1 * c2
+
+
 class _Parser:
-    """Recursive descent.  A sum adds each summand's signed terms into one
-    dict and builds one Polynomial at the end, so it never copies a running
-    sum; products and powers go through `_bounded_product`.  A variable's
-    Polynomial is built once per parse and shared, as no Polynomial is
-    changed after it is built."""
+    """Recursive descent.  A product of atoms (numbers, variables and their
+    powers) is folded into one monomial, a pair (exponent tuple, coefficient),
+    by `_monomial_product`, with no Polynomial in between; an integer
+    coefficient stays an int until a Polynomial is built.  Only a
+    parenthesised factor goes through Polynomial multiplication in
+    `_bounded_product`, and the rest of its product does too, one factor at
+    a time.  So every limit fires at the same step, with the same message,
+    as if each factor were a Polynomial.  A sum adds each summand's signed
+    terms into one dict and builds one Polynomial at the end, so it never
+    copies a running sum."""
 
     def __init__(self, tokens, ctx):
-        self.tokens = tokens
+        # None marks the end; every path that takes it raises at once.
+        self.tokens = tokens + [None]
         self.pos = 0
         self.ctx = ctx
-        self.variables = {}  # name -> Polynomial, built at its first use
+        self.one = ((0,) * ctx.nvars, 1)
+        self.variables = {}  # name -> monomial, built at its first use
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
+
+    def polynomial(self, factor):
+        return Polynomial(self.ctx, dict((factor,))) if type(factor) is tuple else factor
 
     def parse_sum(self):
         terms = {}
         op = self.take() if self.peek() == "-" else "+"
         while True:
-            for exp, c in self.parse_product().terms.items():
+            product = self.parse_product()
+            for exp, c in (product,) if type(product) is tuple else product.terms.items():
                 if op == "-":
                     c = -c
                 old = terms.get(exp)
                 if old is not None:
                     c += old
-                _check_coefficient_bits(c.numerator.bit_length() + c.denominator.bit_length())
+                _check_coefficient_bits(_bits(c))
                 terms[exp] = c
             if self.peek() not in ("+", "-"):
                 return Polynomial(self.ctx, terms)
             op = self.take()
 
     def parse_product(self):
+        """A monomial if every factor is an atom, else a Polynomial."""
         result = self.parse_power()
         while True:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                result = _bounded_product(result, self.parse_power())
-            elif nxt is not None and nxt not in ("+", "-", ")", "^"):
-                # implicit product, e.g. "2x" or "x y"
-                result = _bounded_product(result, self.parse_power())
-            else:
+            elif nxt is None or nxt in ("+", "-", ")", "^"):
                 return result
+            # else an implicit product, e.g. "2x" or "x y"
+            factor = self.parse_power()
+            if type(result) is tuple and type(factor) is tuple:
+                result = _monomial_product(result, factor)
+            else:
+                result = _bounded_product(self.polynomial(result), self.polynomial(factor))
 
     def parse_power(self):
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            exp_tok = self.take()
-            if exp_tok is None or not exp_tok.isdigit():
-                raise ValueError("exponent must be a natural number")
-            e = int(exp_tok)
-            if e > MAX_DEGREE:
-                raise ValueError(f"exponent {e} exceeds the limit {MAX_DEGREE}")
-            return _power(base, e, _bounded_product)
-        return base
-
-    def parse_atom(self):
         tok = self.take()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial")
         if tok == "(":
-            inner = self.parse_sum()
+            base = self.parse_sum()
             if self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
-            return inner
-        if re.fullmatch(r"\d+/\d+|\d+", tok):
+        else:
+            base = self.parse_atom(tok)
+        if self.peek() != "^":
+            return base
+        self.take()
+        exp_tok = self.take()
+        if exp_tok is None or not exp_tok.isdigit():
+            raise ValueError("exponent must be a natural number")
+        e = int(exp_tok)
+        if e > MAX_DEGREE:
+            raise ValueError(f"exponent {e} exceeds the limit {MAX_DEGREE}")
+        if type(base) is tuple:
+            return _power(base, e, _monomial_product, self.one)
+        return _power(base, e, _bounded_product, Polynomial.constant(self.ctx, 1))
+
+    def parse_atom(self, tok):
+        """The monomial of a number or variable token."""
+        if tok is None:
+            raise ValueError("unexpected end of polynomial")
+        if tok[0].isdecimal():
             try:
-                return Polynomial.constant(self.ctx, Fraction(tok))
+                return self.one[0], Fraction(tok) if "/" in tok else int(tok)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {tok!r}") from None
-        if tok in self.ctx.names:
-            if tok not in self.variables:
-                self.variables[tok] = Polynomial.variable(self.ctx, tok)
-            return self.variables[tok]
-        raise ValueError(f"unknown variable {tok!r}")
+        monomial = self.variables.get(tok)
+        if monomial is None:
+            if tok not in self.ctx.names:
+                raise ValueError(f"unknown variable {tok!r}")
+            exp = tuple(int(name == tok) for name in self.ctx.names)
+            monomial = self.variables[tok] = exp, 1
+        return monomial
 
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:

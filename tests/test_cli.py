@@ -294,6 +294,33 @@ def test_oversized_power_is_rejected_at_once(tmp_path, capsys, text):
     assert out == "" and err.startswith(f"error: {ideal}:2: ")
 
 
+TWO_GENERATORS = "[generators]\nu = 2\ny3 = 3\n\n[differential]\ny3 = u^2\n"
+
+
+@pytest.mark.parametrize("command", ["cohomology", "check"])
+def test_oversized_cutoff_is_rejected_at_once(tmp_path, capsys, command):
+    model = tmp_path / "two.cdga"
+    model.write_text(TWO_GENERATORS)
+    path = model if command == "cohomology" else bundled_case_paths()[0]
+    start = time.perf_counter()
+    assert cli.main([command, str(path), "--cutoff", "99999999999999999999"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --cutoff must be at most 512, got 99999999999999999999\n"
+
+
+def test_cutoff_limit_is_accepted(tmp_path, capsys):
+    model = tmp_path / "two.cdga"
+    model.write_text(TWO_GENERATORS)
+    assert cli.main(["--format", "json", "cohomology", str(model), "--cutoff", "512"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    assert len(dims) == 513 and dims[:3] == [1, 0, 1] and sum(dims) == 2
+    assert cli.main(["check", str(bundled_case_paths()[0]), "--cutoff", "512"]) == 0
+    assert cli.main(["cohomology", str(model), "--cutoff", "513"]) == 1
+    assert capsys.readouterr().err == "error: --cutoff must be at most 512, got 513\n"
+
+
 def test_many_odd_generators_are_not_walked_subset_by_subset(tmp_path, capsys):
     """Only the odd subsets whose degree fits the graded piece are enumerated."""
     model = tmp_path / "exterior40.cdga"

@@ -119,6 +119,57 @@ def test_parse_inverts_str(terms):
     assert parse_polynomial(str(f), XYZ) == f
 
 
+V5 = VariableContext.standard(tuple(f"x{i}" for i in range(1, 6)))
+
+
+@st.composite
+def _exponent_of_degree_at_most_10(draw):
+    left, exp = draw(st.integers(0, 10)), []
+    for _ in range(V5.nvars - 1):
+        exp.append(draw(st.integers(0, left)))
+        left -= exp[-1]
+    return tuple(draw(st.permutations(exp + [left])))
+
+
+_coefficient_64 = st.builds(Fraction, st.integers(-(2**64) + 1, 2**64 - 1), st.integers(1, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_exponent_of_degree_at_most_10(), _coefficient_64, max_size=60))
+def test_parse_inverts_str_on_benchmark_shaped_polynomials(terms):
+    """5 variables, degree <= 10, up to 60 terms, p/q coefficients of up to 64 bits."""
+    f = Polynomial(V5, terms)
+    assert parse_polynomial(str(f), V5) == f
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0*x^200*y^100", "0"),  # a zero factor first: degree 0 from there on
+        ("x^200*0*y^100", "0"),  # so is a zero factor in the middle
+        ("0^0", "1"),
+        ("x y^2 3", "3*x*y^2"),
+        ("3/4*x*1/3", "1/4*x"),
+    ],
+)
+def test_products_of_atoms_fold_into_one_term(text, expected):
+    assert str(P(text)) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # (2^256)^15 has 3842 bits and 2^253 has 255: the check of the
+        # product with the parenthesised factor sees their sum
+        ("(2^256)^15*2^253*x", "coefficients of up to 4097 bits exceed the limit of 4096 bits"),
+        ("x^2^2", r"trailing input in polynomial: '\^'"),
+    ],
+)
+def test_fold_boundary_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        P(text)
+
+
 # An expression is (text, value, kind): its text, the Polynomial it stands for
 # (built by Polynomial arithmetic), and whether it is an atom, a power, a
 # product or a sum, which decides where it needs parentheses.
