@@ -14,6 +14,11 @@ enter one at a time, and the S-pairs of each are taken by increasing
 signature and pruned by the syzygy and rewrite criteria.  On a regular
 sequence, such as the Weyl invariant ideals the Cartan models are built
 from, no S-pair reduces to zero.
+
+Quotient series take the Hilbert numerator of the lead ideal by the
+colon-ideal recursion (D. Bayer and M. Stillman, J. Symbolic Comput. 14,
+1992; A. M. Bigatti, J. Pure Appl. Algebra 119, 1997), so their cost
+depends on the leads, not on the number of standard monomials.
 """
 
 from __future__ import annotations
@@ -297,48 +302,36 @@ def ideal_member(f: Polynomial, gens, order: MonomialOrder = GREVLEX) -> bool:
     return not normal_form(f, gb, order)
 
 
-def _standard_monomials(leads, weights, cutoff):
-    """(exponent, weighted degree) of each monomial outside the staircase.
+def _hilbert_numerator(leads, weights, cutoff):
+    """Coefficients 0..cutoff of the Hilbert numerator N(t) of (leads).
 
-    Lists every monomial of weighted degree <= cutoff that no lead divides,
-    in ascending exponent order.  Coordinate i is raised over a zero-padded
-    prefix only until the prefix lies in the staircase, since every larger
-    exponent does too.  A lead whose last nonzero coordinate is i is tested
-    only at depth i: the prefixes above passed every lead that ends earlier.
+    The quotient of the polynomial ring by the monomial ideal (m_1..m_s) has
+    series N(t) / prod(1 - t^w), and N(m_1..m_s) = 1 - sum over k of
+    t^deg(m_k) * N((m_1..m_(k-1)) : m_k), where the colon ideal is generated
+    by the m_i / gcd(m_i, m_k).  Only minimal generators of degree <= cutoff
+    are kept, so a branch shifted past the cutoff is never entered.  A zero
+    lead (the unit ideal) cancels the constant term.
     """
-    n = len(weights)
-    last = [max((i for i, e in enumerate(lead) if e), default=-1) for lead in leads]
-    if -1 in last:  # the ideal is the whole ring
-        return []
-    tests = [[lead[: i + 1] for lead, end in zip(leads, last) if end == i] for i in range(n)]
-    exp = [0] * n
-    found = []
-
-    def rec(i, degree):
-        if i == n:
-            found.append((tuple(exp), degree))
-            return
-        tested, weight = tests[i], weights[i]
-        while degree <= cutoff:
-            if any(all(map(le, lead, exp)) for lead in tested):
-                break
-            rec(i + 1, degree)
-            exp[i] += 1
-            degree += weight
-        exp[i] = 0
-
-    rec(0, 0)
-    # rec reaches itself through its closure; emptying that cell frees
-    # `found` with the caller's last reference, not at the next cyclic GC.
-    del rec
-    return found
+    gens = []
+    for m in sorted(leads, key=sum):  # a divisor of m comes before m
+        degree = sum(map(mul, m, weights))
+        if degree <= cutoff and not any(_divides(g, m) for g, _ in gens):
+            gens.append((m, degree))
+    numerator = [int(d == 0) for d in range(cutoff + 1)]
+    for k, (m, degree) in enumerate(gens):
+        colon = [tuple(map(sub, map(max, g, m), m)) for g, _ in gens[:k]]
+        for i, c in enumerate(_hilbert_numerator(colon, weights, cutoff - degree), degree):
+            numerator[i] -= c
+    return numerator
 
 
 def quotient_poincare(gens, ctx: VariableContext, cutoff: int):
     """Dimensions by cohomological degree of the graded quotient ring.
 
-    Counts standard monomials outside the leading-term staircase of a
-    (degree-truncated) Groebner basis; entries indexed 0..cutoff.
+    The quotient has the Hilbert series of the ideal of the leading terms
+    of a (degree-truncated) Groebner basis.  Its numerator comes from the
+    leads alone (`_hilbert_numerator`) and is divided by prod(1 - t^w) over
+    the variable degrees w, by prefix sums; entries indexed 0..cutoff.
     """
     gens = [g for g in gens if g]
     for g in gens:
@@ -348,7 +341,8 @@ def quotient_poincare(gens, ctx: VariableContext, cutoff: int):
             raise ValueError(f"non-homogeneous generator: {g}")
     gb = buchberger(gens, GREVLEX, degree_cutoff=cutoff)
     leads = [leading_term(g, GREVLEX)[0] for g in gb]
-    dims = [0] * (cutoff + 1)
-    for _, degree in _standard_monomials(leads, ctx.degrees, cutoff):
-        dims[degree] += 1
+    dims = _hilbert_numerator(leads, ctx.degrees, cutoff)
+    for w in ctx.degrees:  # divide by 1 - t^w
+        for k in range(w, cutoff + 1):
+            dims[k] += dims[k - w]
     return dims

@@ -1,15 +1,18 @@
+import gc
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import quotient_dims_by_linear_algebra, random_homogeneous, two_leads_divide_a_term
 from homcoh import groebner
+from homcoh.catalog import _FAMILY
 from homcoh.groebner import (
     GREVLEX,
     MonomialOrder,
     _interreduce,
-    _standard_monomials,
     buchberger,
     ideal_member,
     leading_term,
@@ -191,7 +194,7 @@ def _expected_ci_series(gen_degrees, var_degrees, cutoff):
 
 
 def test_quotient_matches_linear_algebra_on_random_sequences(rng):
-    """Staircase counts agree with rank counts on random regular sequences."""
+    """Series from the lead ideal's numerator agree with rank counts on random regular sequences."""
     checked = 0
     while checked < 20:
         d1, d2 = rng.choice([(1, 2), (2, 2), (2, 3), (1, 3), (3, 3)])
@@ -350,24 +353,85 @@ def test_no_s_pair_reduces_to_zero_on_a_regular_sequence(monkeypatch, rng):
     assert spairs > 0
 
 
-# ---- staircase counting ------------------------------------------------
+# ---- series of monomial ideals -----------------------------------------
 
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), max_size=5),
-    st.permutations((2, 4, 6)),
-    st.integers(0, 30),
+# Exponents up to 12 put many leads above every cutoff; (0, 0, 0) is the unit ideal.
+LEADS = st.lists(
+    st.just((0, 0, 0)) | st.tuples(*[st.integers(0, 4)] * 3) | st.tuples(*[st.integers(0, 12)] * 3),
+    max_size=5,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(LEADS, st.permutations((2, 4, 6)), st.integers(0, 30))
 def test_standard_monomials_match_a_brute_force_filter(leads, weights, cutoff):
-    leads = [tuple(le) for le in leads]
+    """Per-degree counts of the monomials no lead divides, the leads being the generators."""
+    ctx = VariableContext(("u", "v", "w"), tuple(weights))
     expected = [
-        (e, sum(a * w for a, w in zip(e, weights)))
+        sum(not any(all(a <= b for a, b in zip(le, e)) for le in leads) for e in weighted_exponents(weights, d))
         for d in range(cutoff + 1)
-        for e in weighted_exponents(weights, d)
-        if not any(all(a <= b for a, b in zip(le, e)) for le in leads)
     ]
-    assert _standard_monomials(leads, weights, cutoff) == sorted(expected)
+    assert quotient_poincare([Polynomial(ctx, {le: 1}) for le in leads], ctx, cutoff) == expected
+
+
+@pytest.mark.parametrize(
+    "family, rank, order",
+    [("A", 3, 24), ("A", 4, 120), ("A", 5, 720), ("C", 4, 384), ("B", 5, 3840), ("D", 4, 192), ("D", 5, 1920),
+     ("G2", 2, 12)],
+)
+def test_coinvariant_algebra_has_the_weyl_order_as_dimension(family, rank, order):
+    """Chevalley: the coinvariant algebra is a complete intersection of dimension |W|.
+
+    Its series is prod(1 - t^d) / (1 - t^2)^n over the invariant degrees d,
+    with top degree sum(d - 2) and top coefficient 1.  The A and G2
+    coordinates span rank + 1 dimensions, so x_1 + ... + x_n, of degree 2,
+    joins the invariants.
+    """
+    assert _FAMILY[family]["weyl"](rank) == order
+    pairs = weyl_invariant_generators(family, rank)
+    ctx = pairs[0][0].ctx
+    if family in ("A", "G2"):  # the monomials of degree 2 are the variables
+        pairs.append((Polynomial(ctx, {e: 1 for e in weighted_exponents(ctx.degrees, 2)}), 2))
+    degrees = [d for _, d in pairs]
+    top = sum(d - 2 for d in degrees)
+    dims = quotient_poincare([f for f, _ in pairs], ctx, top + 4)
+    assert sum(dims) == order
+    assert dims[top] == 1 and dims[top + 1 :] == [0] * 4
+    assert dims == _expected_ci_series(degrees, ctx.degrees, top + 4)
+
+
+def test_a_staircase_too_big_to_list():
+    """Degree 200 in 8 variables of degree 2: C(107, 7) monomials, none listed."""
+    ctx = VariableContext.standard([f"x{i}" for i in range(1, 9)])
+    start = time.perf_counter()
+    assert quotient_poincare([], ctx, 200)[200] == comb(107, 7) == 26_075_972_546
+    # x1^3, x2^5, x3^7: monomials x1^a x2^b x3^c m with a < 3, b < 5, c < 7 and
+    # m of degree 100 - a - b - c in the other 5 variables.
+    powers = {0: 3, 1: 5, 2: 7}
+    gens = [Polynomial(ctx, {tuple(k if i == j else 0 for i in range(8)): 1}) for j, k in powers.items()]
+    dims = quotient_poincare(gens, ctx, 200)
+    assert dims[200] == sum(comb(104 - a - b - c, 4) for a in range(3) for b in range(5) for c in range(7))
+    assert dims == _expected_ci_series([2 * k for k in powers.values()], ctx.degrees, 200)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_negative_cutoff_gives_no_degrees():
+    assert quotient_poincare([P("x^2")], XY, -1) == []
+    assert quotient_poincare([], XY, -1) == []
+    assert quotient_poincare([P("1")], XY, -1) == []
+
+
+def test_quotient_poincare_leaves_no_cyclic_garbage():
+    """Every object of a call is freed with its last reference, not by the cyclic collector."""
+    gens = [f for f, _ in weyl_invariant_generators("D", 4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert sum(quotient_poincare(gens, gens[0].ctx, 24)) == 192
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 WEIGHTED = VariableContext(("u", "v", "w"), (2, 4, 6))
