@@ -37,6 +37,18 @@ class GeneratorSpec:
         return self.degree % 2
 
 
+def _checked_transgression(gen, df):
+    """df, if it is zero or homogeneous of degree deg(gen) + 1."""
+    degrees = sorted({df.monomial_degree(m) for m in df.terms})
+    if degrees and degrees != [gen.degree + 1]:
+        got = ", ".join(map(str, degrees))
+        raise ValueError(
+            f"d({gen.name}) must be homogeneous of degree {gen.degree + 1}, "
+            f"got degree{'s' if len(degrees) > 1 else ''} {got}"
+        )
+    return df
+
+
 class FreeCDGA:
     """Free CDGA with closed even generators and prescribed transgressions.
 
@@ -67,12 +79,7 @@ class FreeCDGA:
         for gen, df in zip(self.odd_gens, transgressions):
             if df.ctx != self.even_ctx:
                 raise ValueError(f"transgression of {gen.name} lives in the wrong ring")
-            if df and df.cohom_degree() != gen.degree + 1:
-                raise ValueError(
-                    f"d({gen.name}) must be homogeneous of degree {gen.degree + 1}, "
-                    f"got degree {df.cohom_degree()}"
-                )
-            self.transgressions.append(df)
+            self.transgressions.append(_checked_transgression(gen, df))
         self.transgressions = tuple(self.transgressions)
         # (+terms, -terms) of each transgression, indexed by the sign parity
         self._signed_terms = []
@@ -232,7 +239,7 @@ def cdga_from_text(text: str, path="<cdga>") -> FreeCDGA:
             raise diffs.error(f"differential given for unknown generator {name!r}", name)
     ctx = VariableContext(tuple(g.name for g in even), tuple(g.degree for g in even))
     transgressions = [
-        diffs.convert(g.name, lambda value: parse_polynomial(value, ctx))
+        diffs.convert(g.name, lambda v: _checked_transgression(g, parse_polynomial(v, ctx)))
         if g.name in diffs
         else Polynomial.zero(ctx)
         for g in odd

@@ -123,7 +123,7 @@ def cmd_cohomology(args):
         algebra = cdga_from_text(cat.read_text(args.cdga_file), args.cdga_file)
     except (OSError, cat.CatalogError) as exc:
         raise InputError(str(exc))
-    except ValueError as exc:  # FreeCDGA rejects the algebra itself
+    except ValueError as exc:  # a check of FreeCDGA that the line-by-line checks missed
         raise InputError(f"{args.cdga_file}: {exc}")
     if args.cutoff is None:
         raise InputError("--cutoff is required for cohomology")

@@ -286,36 +286,35 @@ def substitute_linear(f: Polynomial, s: LinearSubstitution) -> Polynomial:
 
 # ---- parser ------------------------------------------------------------
 
-# A token, or else (second group) the rest of the text from the end of the
-# last token, so `findall` covers the text in one pass.
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9']*|[\^*+\-()])|(.+)", re.S)
+# A token.  Digits are ASCII: `\d` would match every Unicode decimal digit.
+_TOKEN = re.compile(r"[\^*+\-()]|[A-Za-z_][A-Za-z_0-9']*|[0-9]+(?:/[0-9]+)?")
 
 
 def _tokenize(text):
-    found = _TOKEN.findall(text)
-    if found and found[-1][1]:
-        rest = found[-1][1]
-        pos = len(text) - len(rest)
-        raise ValueError(f"cannot parse polynomial at position {pos}: {rest[:10]!r}")
-    return [tok for tok, _ in found]
+    """The tokens of the text, where every other character is white space before a token."""
+    tokens = _TOKEN.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())) or text[-1:].isspace():
+        pos = 0  # the end of the last token with only white space before it
+        for match in _TOKEN.finditer(text):
+            if text[pos : match.start()].strip():
+                break
+            pos = match.end()
+        raise ValueError(f"cannot parse polynomial at position {pos}: {text[pos : pos + 10]!r}")
+    return tokens
 
 
 # Limits that keep parsing bounded.  Every multiplication the parser does,
-# each one inside a power included, is refused before it is done if the
-# product's polynomial degree would exceed MAX_DEGREE, if it multiplies more
-# than MAX_TERMS pairs of terms, or if a product of two of its coefficients
-# could need more than MAX_COEFFICIENT_BITS bits (numerator and denominator
-# together); an exponent above MAX_DEGREE is refused too.  A product of
-# atoms (numbers, variables and their powers) is folded into one monomial
-# with the same checks: the sum of the two factors' degrees, and of their
-# coefficient sizes, where a zero monomial has degree 0 and 0 bits.  A sum
-# checks each coefficient against MAX_COEFFICIENT_BITS as a summand is added
-# to it.  So the limit holds for every coefficient of every product's result
-# as well: the result meets that check, or the next multiplication's, before
-# any further work uses it.
+# each step of a power included, is refused before it is done if its
+# polynomial degree would exceed MAX_DEGREE, if it multiplies more than
+# MAX_TERMS pairs of terms, or if the largest coefficient sizes (`_bits`) of
+# its factors add up to more than MAX_COEFFICIENT_BITS.  A sum checks each
+# coefficient as a summand is added to it, so every result meets that limit
+# before further work uses it.  An exponent above MAX_DEGREE is refused, and
+# so is nesting deeper than MAX_DEPTH: the recursion takes two calls a level.
 MAX_DEGREE = 256
 MAX_TERMS = 100_000
 MAX_COEFFICIENT_BITS = 4096
+MAX_DEPTH = 100
 
 
 def _bits(c):
@@ -323,151 +322,145 @@ def _bits(c):
     return c.numerator.bit_length() + c.denominator.bit_length() if c else 0
 
 
-def _degree(f):
-    return max(map(sum, f.terms), default=0)
+def _degree_error(degree):
+    return ValueError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
 
 
-def _coefficient_bits(f):
-    return max(map(_bits, f.terms.values()), default=0)
-
-
-def _check_degree(degree):
-    if degree > MAX_DEGREE:
-        raise ValueError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
-
-
-def _check_coefficient_bits(bits):
-    if bits > MAX_COEFFICIENT_BITS:
-        raise ValueError(
-            f"coefficients of up to {bits} bits exceed the limit of {MAX_COEFFICIENT_BITS} bits"
-        )
+def _bits_error(bits):
+    limit = MAX_COEFFICIENT_BITS
+    return ValueError(f"coefficients of up to {bits} bits exceed the limit of {limit} bits")
 
 
 def _bounded_product(a, b):
-    _check_degree(_degree(a) + _degree(b))
-    if len(a.terms) * len(b.terms) > MAX_TERMS:
+    degree = sum(max(map(sum, f.terms), default=0) for f in (a, b))
+    if degree > MAX_DEGREE:
+        raise _degree_error(degree)
+    na, nb = len(a.terms), len(b.terms)
+    if na * nb > MAX_TERMS:
         raise ValueError(
-            f"product of {len(a.terms)} and {len(b.terms)} terms exceeds "
-            f"the limit of {MAX_TERMS} term pairs"
+            f"product of {na} and {nb} terms exceeds the limit of {MAX_TERMS} term pairs"
         )
-    _check_coefficient_bits(_coefficient_bits(a) + _coefficient_bits(b))
+    bits = sum(max(map(_bits, f.terms.values()), default=0) for f in (a, b))
+    if bits > MAX_COEFFICIENT_BITS:
+        raise _bits_error(bits)
     return a * b
 
 
-def _monomial_product(a, b):
-    """Product of monomials (exp, c), checked as `_bounded_product` checks
-    the product of their one-term Polynomials.  A zero monomial keeps the
-    zero exponent."""
-    (e1, c1), (e2, c2) = a, b
-    _check_degree(sum(e1) + sum(e2))
-    _check_coefficient_bits(_bits(c1) + _bits(c2))
-    if not c1:
-        return a
-    if not c2:
-        return b
-    return tuple(map(add, e1, e2)), c1 * c2
+_EXPONENTS = {str(e): e for e in range(MAX_DEGREE + 1)}  # the allowed ones, by their text
+_PRODUCT_END = frozenset((None, "+", "-", ")", "^"))  # the tokens that end a product
 
 
 class _Parser:
-    """Recursive descent.  A product of atoms (numbers, variables and their
-    powers) is folded into one monomial, a pair (exponent tuple, coefficient),
-    by `_monomial_product`, with no Polynomial in between; an integer
-    coefficient stays an int until a Polynomial is built.  Only a
-    parenthesised factor goes through Polynomial multiplication in
-    `_bounded_product`, and the rest of its product does too, one factor at
-    a time.  So every limit fires at the same step, with the same message,
-    as if each factor were a Polynomial.  A sum adds each summand's signed
-    terms into one dict and builds one Polynomial at the end, so it never
-    copies a running sum."""
+    """Recursive descent, one level per parenthesis.  One loop reads a
+    product of atoms (numbers, variables and their powers) into a monomial:
+    an exponent list updated in place, an int or Fraction coefficient, and
+    its degree and coefficient size as ints, so each limit check is one
+    comparison.  From its first parenthesised factor or number power on, a
+    product takes `_bounded_product` one factor at a time.  Both ways check
+    the same numbers, so a limit fires at the same step and with the same
+    message either way.  A sum adds each summand's signed terms into one dict."""
 
     def __init__(self, tokens, ctx):
-        # None marks the end; every path that takes it raises at once.
+        # None marks the end; every path that reads it as a factor raises.
         self.tokens = tokens + [None]
-        self.pos = 0
+        self.pos = self.depth = 0
         self.ctx = ctx
-        self.one = ((0,) * ctx.nvars, 1)
-        self.variables = {}  # name -> monomial, built at its first use
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def polynomial(self, factor):
-        return Polynomial(self.ctx, dict((factor,))) if type(factor) is tuple else factor
+        # The names a token can stand for: "(" opens a group, a digit a number.
+        self.slots = {x: i for i, x in enumerate(ctx.names) if x != "(" and not x[:1].isdigit()}
 
     def parse_sum(self):
-        terms = {}
-        op = self.take() if self.peek() == "-" else "+"
+        tokens, terms = self.tokens, {}
+        negate = tokens[self.pos] == "-"
+        self.pos += negate
         while True:
             product = self.parse_product()
             for exp, c in (product,) if type(product) is tuple else product.terms.items():
-                if op == "-":
-                    c = -c
-                old = terms.get(exp)
-                if old is not None:
-                    c += old
-                _check_coefficient_bits(_bits(c))
+                c = terms.get(exp, 0) + (-c if negate else c)
+                if _bits(c) > MAX_COEFFICIENT_BITS:
+                    raise _bits_error(_bits(c))
                 terms[exp] = c
-            if self.peek() not in ("+", "-"):
+            tok = tokens[self.pos]
+            if tok != "+" and tok != "-":
                 return Polynomial(self.ctx, terms)
-            op = self.take()
+            negate = tok == "-"
+            self.pos += 1
 
     def parse_product(self):
-        """A monomial if every factor is an atom, else a Polynomial."""
-        result = self.parse_power()
+        """A monomial (exponent tuple, coefficient), or a Polynomial."""
+        tokens, slots, ctx = self.tokens, self.slots, self.ctx
+        start = pos = self.pos
+        exp, coeff, degree, bits = [0] * ctx.nvars, 1, 0, 2  # the monomial 1: _bits(1) is 2
+        product = None
         while True:
-            nxt = self.peek()
-            if nxt == "*":
-                self.take()
-            elif nxt is None or nxt in ("+", "-", ")", "^"):
-                return result
-            # else an implicit product, e.g. "2x" or "x y"
-            factor = self.parse_power()
-            if type(result) is tuple and type(factor) is tuple:
-                result = _monomial_product(result, factor)
+            at, tok = pos, tokens[pos]
+            slot = slots.get(tok)
+            if slot is None:
+                if tok == "(":
+                    self.depth += 1
+                    if self.depth > MAX_DEPTH:
+                        raise ValueError(f"parentheses nested more than {MAX_DEPTH} deep")
+                    self.pos = pos + 1
+                    value = self.parse_sum()
+                    self.depth -= 1
+                    pos = self.pos
+                    if tokens[pos] != ")":
+                        raise ValueError("unbalanced parenthesis")
+                elif tok is None:
+                    raise ValueError("unexpected end of polynomial")
+                elif tok[0].isdigit():
+                    try:
+                        value = Fraction(tok) if "/" in tok else int(tok)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {tok!r}") from None
+                else:
+                    raise ValueError(f"unknown variable {tok!r}")
+            pos += 1
+            e = 1
+            if tokens[pos] == "^":
+                e = _EXPONENTS.get(tokens[pos + 1])
+                if e is None:
+                    e = tokens[pos + 1]
+                    if e is None or not e.isdigit():
+                        raise ValueError("exponent must be a natural number")
+                    e = int(e)  # above MAX_DEGREE, or written with leading zeros
+                    if e > MAX_DEGREE:
+                        raise ValueError(f"exponent {e} exceeds the limit {MAX_DEGREE}")
+                pos += 2
+
+            if product is None and slot is not None:  # x^e: its coefficient 1 has 2 bits
+                if coeff:  # a zero monomial stays zero, of degree 0 and 0 bits
+                    if degree + e > MAX_DEGREE:
+                        raise _degree_error(degree + e)
+                    if bits > MAX_COEFFICIENT_BITS - 2:
+                        raise _bits_error(bits + 2)
+                    degree += e
+                    exp[slot] += e
+            elif product is None and e == 1 and type(value) is not Polynomial:  # a number
+                if at > start and bits + _bits(value) > MAX_COEFFICIENT_BITS:
+                    raise _bits_error(bits + _bits(value))
+                if not value:
+                    exp, coeff, degree, bits = [0] * ctx.nvars, 0, 0, 0
+                elif coeff:
+                    coeff *= value
+                    bits = _bits(coeff)
             else:
-                result = _bounded_product(self.polynomial(result), self.polynomial(factor))
+                if slot is not None:
+                    value = Polynomial.variable(ctx, tok)
+                elif type(value) is not Polynomial:
+                    value = Polynomial.constant(ctx, value)
+                if e != 1:
+                    value = _power(value, e, _bounded_product, Polynomial.constant(ctx, 1))
+                if at > start and product is None:
+                    product = Polynomial(ctx, {tuple(exp): coeff})
+                product = value if at == start else _bounded_product(product, value)
 
-    def parse_power(self):
-        tok = self.take()
-        if tok == "(":
-            base = self.parse_sum()
-            if self.take() != ")":
-                raise ValueError("unbalanced parenthesis")
-        else:
-            base = self.parse_atom(tok)
-        if self.peek() != "^":
-            return base
-        self.take()
-        exp_tok = self.take()
-        if exp_tok is None or not exp_tok.isdigit():
-            raise ValueError("exponent must be a natural number")
-        e = int(exp_tok)
-        if e > MAX_DEGREE:
-            raise ValueError(f"exponent {e} exceeds the limit {MAX_DEGREE}")
-        if type(base) is tuple:
-            return _power(base, e, _monomial_product, self.one)
-        return _power(base, e, _bounded_product, Polynomial.constant(self.ctx, 1))
-
-    def parse_atom(self, tok):
-        """The monomial of a number or variable token."""
-        if tok is None:
-            raise ValueError("unexpected end of polynomial")
-        if tok[0].isdecimal():
-            try:
-                return self.one[0], Fraction(tok) if "/" in tok else int(tok)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {tok!r}") from None
-        monomial = self.variables.get(tok)
-        if monomial is None:
-            if tok not in self.ctx.names:
-                raise ValueError(f"unknown variable {tok!r}")
-            exp = tuple(int(name == tok) for name in self.ctx.names)
-            monomial = self.variables[tok] = exp, 1
-        return monomial
+            tok = tokens[pos]
+            if tok == "*":
+                pos += 1
+            elif tok in _PRODUCT_END:
+                self.pos = pos
+                return (tuple(exp), coeff) if product is None else product
+            # else an implicit product, e.g. "2x" or "x y"
 
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
@@ -477,8 +470,8 @@ def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
         return Polynomial.zero(ctx)
     parser = _Parser(tokens, ctx)
     result = parser.parse_sum()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input in polynomial: {parser.peek()!r}")
+    if parser.tokens[parser.pos] is not None:
+        raise ValueError(f"trailing input in polynomial: {parser.tokens[parser.pos]!r}")
     return result
 
 

@@ -213,6 +213,8 @@ def test_catalog_env_var_override(tmp_path, monkeypatch):
 CATALOG = (DATA / "catalog.txt").read_text()
 CASE_3 = str(DATA / "cases" / "03_so35_g22.case")
 EMBEDDING = "embedding = so(8) > so(3)xso(3)"
+# u^2 in 330 pairs of parentheses, deeper than the parser's recursion could go
+DEEP = "(" * 330 + "u^2" + ")" * 330
 
 
 # (file name, contents, the line the error must name, argv with {} for the file)
@@ -240,6 +242,13 @@ BAD_INPUTS = [
     ("nonsimple.case", "[case x]\ng = so(1,2)xso(1,2)\nh = su(1,2)\nk_h = su(2)\n"
      "embedding = so(3)xso(3) > su(2)\n", "embedding = so(3)xso(3) > su(2)",
      ("--catalog", "{catalog}", "check", "{}")),
+    ("deep.cdga", f"[generators]\nu = 2\ny3 = 3\n[differential]\ny3 = {DEEP}\n", f"y3 = {DEEP}",
+     ("cohomology", "{}", "--cutoff", "4")),
+    ("deep.ideal", f"vars = u\n{DEEP}\n", DEEP, ("groebner", "{}")),
+    ("b.cdga", "[generators]\nx = 2\ny = 3\n[differential]\ny = x\n", "y = x",
+     ("cohomology", "{}", "--cutoff", "4")),
+    ("d.cdga", "[generators]\nx = 2\ny = 3\n[differential]\ny = x^2 + 1\n", "y = x^2 + 1",
+     ("cohomology", "{}", "--cutoff", "4")),
 ]
 
 # The bundled catalog plus a real form whose compact dual is not simple, and
@@ -273,6 +282,37 @@ def test_bad_input_is_one_error_line_with_its_line(tmp_path, name, text, bad_lin
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "polynomial, message",
+    [
+        ("\u0663*x2^\u0662", "cannot parse polynomial at position 0: '\u0663*x2^\u0662'"),
+        ("x2 + \u0663", "cannot parse polynomial at position 4: ' \u0663'"),
+        ("(" * 101 + "x2" + ")" * 101, "parentheses nested more than 100 deep"),
+    ],
+    ids=["arabic-indic-digits", "arabic-indic-digit-last", "nesting"],
+)
+def test_bad_member_argument_is_one_error_line(capsys, polynomial, message):
+    ideal = DATA / "ideals" / "restricted_d4.ideal"
+    assert cli.main(["member", str(ideal), polynomial]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: polynomial {polynomial!r}: {message}\n"
+
+
+def test_cdga_differential_errors_name_the_generator(tmp_path, capsys):
+    model = tmp_path / "d.cdga"
+    model.write_text("[generators]\nx = 2\ny = 3\n[differential]\ny = x^2 + 1\n")
+    assert cli.main(["cohomology", str(model), "--cutoff", "4"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}:5: y: d(y) must be homogeneous of degree 4, got degrees 0, 4\n"
+    )
+    model.write_text("[generators]\nx = 2\ny = 3\n[differential]\ny = x\n")
+    assert cli.main(["cohomology", str(model), "--cutoff", "4"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}:5: y: d(y) must be homogeneous of degree 4, got degree 2\n"
+    )
 
 
 @pytest.mark.parametrize(

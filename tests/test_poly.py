@@ -170,6 +170,37 @@ def test_fold_boundary_errors(text, message):
         P(text)
 
 
+POWER_BASES = {
+    "x": Polynomial.variable(XYZ, "x"),
+    "z": Polynomial.variable(XYZ, "z"),
+    "0": Polynomial.zero(XYZ),
+    "2": Polynomial.constant(XYZ, 2),
+    "3/2": Polynomial.constant(XYZ, Fraction(3, 2)),
+    "(-2*y)": Polynomial(XYZ, {(0, 1, 0): -2}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(POWER_BASES)), st.integers(0, 256)), min_size=1,
+                max_size=4))
+def test_powers_up_to_the_limit_agree_with_polynomial_arithmetic(factors):
+    """The product of powers, or the degree of the first partial product over the limit."""
+    text = "*".join(f"{base}^{e}" for base, e in factors)
+    value, refused = Polynomial.constant(XYZ, 1), None
+    for i, (base, e) in enumerate(factors):
+        power = POWER_BASES[base] ** e
+        degree = max(map(sum, value.terms), default=0) + max(map(sum, power.terms), default=0)
+        if i and degree > 256:
+            refused = degree
+            break
+        value = value * power
+    if refused is None:
+        assert P(text, XYZ) == value
+    else:
+        with pytest.raises(ValueError, match=f"polynomial degree {refused} exceeds the limit 256"):
+            P(text, XYZ)
+
+
 # An expression is (text, value, kind): its text, the Polynomial it stands for
 # (built by Polynomial arithmetic), and whether it is an atom, a power, a
 # product or a sum, which decides where it needs parentheses.
@@ -235,9 +266,22 @@ def test_parse_agrees_with_polynomial_arithmetic(expr):
     assert parse_polynomial(text, XYZ) == value
 
 
+# 2^4093 has 4094 bits of numerator and 1 of denominator: 4095 in all.  The
+# coefficient 1 of x, or of x^0, has 2.
+BITS_4095 = str(2**4093)
+BITS_4097 = "coefficients of up to 4097 bits exceed the limit of 4096 bits"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
+        pytest.param(f"{BITS_4095}*x", BITS_4097, id="4095-bits-times-x"),
+        pytest.param(f"{BITS_4095}*x^0", BITS_4097, id="4095-bits-times-x^0"),
+        pytest.param(f"x*{BITS_4095}", BITS_4097, id="x-times-4095-bits"),
+        ("x^3*x^254", "polynomial degree 257 exceeds the limit 256"),
+        ("x^3*y^253*x*y", "polynomial degree 257 exceeds the limit 256"),
+        pytest.param("(" * 101 + "x" + ")" * 101, "parentheses nested more than 100 deep",
+                     id="nested-101-deep"),
         ("x^257", "exponent 257 exceeds the limit 256"),
         ("2^300", "exponent 300 exceeds the limit 256"),
         ("(x*y)^129", "polynomial degree 258 exceeds the limit 256"),
@@ -268,6 +312,10 @@ def test_parser_limits(text, message):
 
 def test_parser_limits_are_inclusive():
     assert P("x^256") == Polynomial(XY, {(256, 0): 1})
+    assert P("x^256*y^0") == Polynomial(XY, {(256, 0): 1})
+    assert P("x^007*y^0249") == Polynomial(XY, {(7, 249): 1})  # leading zeros
+    assert P(BITS_4095) == Polynomial.constant(XY, 2**4093)  # a lone number: no product
+    assert P("(" * 100 + "x" + ")" * 100) == P("x")
     assert P("(x*y)^128*1^256") == Polynomial(XY, {(128, 128): 1})
     assert P("(2^128)^31*x") == Polynomial(XY, {(1, 0): 2**3968})
 
