@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from math import factorial, prod
 
-from .poly import LinearSubstitution, VariableContext, parse_polynomial
+from . import linalg
+from .poly import LinearSubstitution, Polynomial, VariableContext, parse_polynomial
 
 # Root-system data per simple family, keyed by family letter.
-# num_roots(rank), weyl_order(rank), primitive degrees(rank).
+# num_roots(rank), weyl_order(rank), primitive degrees(rank), and the number
+# of Cartan coordinates(rank) that `poly.weyl_invariant_generators` uses.
 
 
 _FAMILY = {
@@ -27,26 +29,31 @@ _FAMILY = {
         "roots": lambda n: n * (n + 1),
         "weyl": lambda n: factorial(n + 1),
         "primitive": lambda n: [2 * k + 1 for k in range(1, n + 1)],
+        "coordinates": lambda n: n + 1,
     },
     "B": {
         "roots": lambda n: 2 * n * n,
         "weyl": lambda n: 2**n * factorial(n),
         "primitive": lambda n: [4 * k - 1 for k in range(1, n + 1)],
+        "coordinates": lambda n: n,
     },
     "C": {
         "roots": lambda n: 2 * n * n,
         "weyl": lambda n: 2**n * factorial(n),
         "primitive": lambda n: [4 * k - 1 for k in range(1, n + 1)],
+        "coordinates": lambda n: n,
     },
     "D": {
         "roots": lambda n: 2 * n * (n - 1),
         "weyl": lambda n: 2 ** (n - 1) * factorial(n),
         "primitive": lambda n: sorted([4 * k - 1 for k in range(1, n)] + [2 * n - 1]),
+        "coordinates": lambda n: n,
     },
     "G2": {
         "roots": lambda n: 12,
         "weyl": lambda n: 12,
         "primitive": lambda n: [3, 11],
+        "coordinates": lambda n: 3,
     },
 }
 
@@ -149,8 +156,11 @@ class EmbeddingDatum(_Record):
     subgroup: str
     restriction: LinearSubstitution
     literal_invariants: tuple  # claimed invariant generators, in target coords
+    subgroup_coordinates: tuple  # classical Cartan coordinates of each factor, linear forms
+    subgroup_invariants: tuple  # the generators of the subgroup's invariants that the model uses
 
     def validate(self, groups):
+        """Shapes only; `obstruct.invariant_presentation` certifies the invariants."""
         for role in (self.ambient, self.subgroup):
             if role not in groups:
                 raise CatalogError(f"embedding {self.name}: unknown group {role!r}")
@@ -160,6 +170,57 @@ class EmbeddingDatum(_Record):
                 f"embedding {self.name}: source has "
                 f"{self.restriction.source.nvars} coordinates, ambient rank is {rank}"
             )
+        sub, target = groups[self.subgroup], self.restriction.target
+        if any(letter not in _FAMILY for letter, _ in sub.family):
+            return  # the subgroup's own record reports it
+        coords = self.subgroup_coordinates
+        sizes = [_FAMILY[letter]["coordinates"](n) for letter, n in sub.family]
+        problems = []
+        for group in (groups[self.ambient], sub):  # `weyl_invariant_generators` has no D1
+            if ("D", 1) in group.family:
+                problems.append(f"{group.name} has a factor D1, whose invariants are not tabled")
+        if target.nvars != sub.rank:
+            problems.append(f"{target.nvars} target_vars, subgroup rank is {sub.rank}")
+        if len(coords) != sum(sizes):
+            problems.append(
+                f"{len(coords)} subgroup_coordinates, the factors of {sub.name} "
+                f"need {' + '.join(map(str, sizes))}"
+            )
+        else:
+            blocks = coordinate_blocks(sub.family, coords)
+            for i, ((letter, n), block) in enumerate(zip(sub.family, blocks), start=1):
+                if letter in ("A", "G2") and sum(block, Polynomial.zero(target)):
+                    problems.append(f"the coordinates of factor {i} ({letter}{n}) do not sum to 0")
+        coords_rank = _rank(coords, target)
+        if coords_rank != sub.rank:
+            problems.append(f"subgroup_coordinates have rank {coords_rank}, not {sub.rank}")
+        invariants = self.subgroup_invariants
+        degrees = sorted(p.cohom_degree() for p in invariants if p.is_homogeneous())
+        if not all(p and p.is_homogeneous() for p in invariants):
+            problems.append("subgroup_invariants are not all nonzero and homogeneous")
+        elif degrees != sorted(sub.invariant_degrees):
+            problems.append(
+                f"subgroup_invariants have degrees {degrees}, "
+                f"{sub.name} has invariant_degrees {sorted(sub.invariant_degrees)}"
+            )
+        if problems:
+            raise CatalogError(f"embedding {self.name}: " + "; ".join(problems))
+
+
+def coordinate_blocks(family, coordinates):
+    """`coordinates` cut into one block per factor of `family`."""
+    blocks, start = [], 0
+    for letter, n in family:
+        size = _FAMILY[letter]["coordinates"](n)
+        blocks.append(coordinates[start : start + size])
+        start += size
+    return blocks
+
+
+def _rank(forms, ctx):
+    """The rank of linear forms in the variables of ctx."""
+    entries = {(exp.index(1), j): c for j, f in enumerate(forms) for exp, c in f.terms.items()}
+    return linalg.rank(linalg.RatMatrix(ctx.nvars, len(forms), entries))
 
 
 @dataclass(frozen=True)
@@ -277,23 +338,32 @@ def _variables(value):
     return VariableContext.standard(_names(value, ","))
 
 
+def _linear(text, ctx):
+    form = parse_polynomial(text, ctx)
+    if any(sum(exp) != 1 for exp in form.terms):
+        raise ValueError(f"{text!r} is not linear in {', '.join(ctx.names)}")
+    return form
+
+
 def _parse_embedding(fields, name):
     """`[embedding AMBIENT > SUBGROUP]`: a `map v = ...` line per source variable."""
     ambient, _, subgroup = (tok.strip() for tok in name.partition(">"))
     source = fields.convert("source_vars", _variables)
     target = fields.convert("target_vars", _variables)
-    images = tuple(
-        fields.convert(f"map {v}", lambda text: parse_polynomial(text, target))
-        for v in source.names
-    )
-    literal = ()
-    if "literal_invariants" in fields:
-        literal = fields.convert(
-            "literal_invariants",
-            lambda text: tuple(parse_polynomial(t, target) for t in _names(text, ",")),
-        )
+    images = tuple(fields.convert(f"map {v}", lambda t: _linear(t, target)) for v in source.names)
+    if _rank(images, target) != target.nvars:
+        raise fields.error(f"the maps are not onto target_vars {', '.join(target.names)}")
+
+    def polynomials(key, parse=parse_polynomial):
+        return fields.convert(key, lambda text: tuple(parse(t, target) for t in _names(text, ",")))
+
+    literal = polynomials("literal_invariants") if "literal_invariants" in fields else ()
+    coordinates = polynomials("subgroup_coordinates", _linear)
+    invariants = polynomials("subgroup_invariants")
     restriction = LinearSubstitution(source, target, images)
-    return EmbeddingDatum(name, ambient, subgroup, restriction, literal, where=fields.where)
+    return EmbeddingDatum(
+        name, ambient, subgroup, restriction, literal, coordinates, invariants, where=fields.where
+    )
 
 
 def _lookup(records, what, name):

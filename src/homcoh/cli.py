@@ -106,7 +106,10 @@ def cmd_check(args):
             cases.extend(catalog.load_case_file(path))
         except (OSError, cat.CatalogError) as exc:
             raise InputError(str(exc))
-    reports = [run_case(case, checks=checks, cutoff=args.cutoff) for case in cases]
+    try:
+        reports = [run_case(case, checks=checks, cutoff=args.cutoff) for case in cases]
+    except cat.CatalogError as exc:  # an embedding whose invariants fail their certificate
+        raise InputError(str(exc))
     if args.format == "json":
         payload = {"reports": [r.to_dict() for r in reports]}
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
-from .catalog import CaseSpec, EmbeddingDatum, GroupDatum
+from .catalog import CaseSpec, CatalogError, EmbeddingDatum, GroupDatum, coordinate_blocks
 from .cdga import FreeCDGA, GeneratorSpec
 from .groebner import GREVLEX, buchberger, normal_form
 from .linalg import RatMatrix
-from .poly import Polynomial, VariableContext, power_products, substitute_linear, weighted_exponents
+from .poly import LinearSubstitution, Polynomial, VariableContext, power_products
+from .poly import substitute_linear, weighted_exponents, weyl_invariant_generators
 
 TITS_NOTE = (
     "By the Tits alternative a finitely generated amenable linear group is "
@@ -151,22 +151,6 @@ def check_primitive_degree(g_u: GroupDatum, n: int) -> CheckResult:
 # ---- invariant presentation for the tncz check -------------------------
 
 
-def _normalize_integral(p: Polynomial) -> Polynomial:
-    """Scale to integer coefficients with content 1 and positive leading term."""
-    if not p:
-        return p
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    scaled = p.scale(denom)
-    content = 0
-    for c in scaled.terms.values():
-        content = gcd(content, abs(c.numerator))
-    scaled = scaled.scale(Fraction(1, content))
-    lead = scaled.terms[max(scaled.terms)]
-    return scaled if lead > 0 else -scaled
-
-
 def express_in_generators(p: Polynomial, gens, gen_degrees, gen_ctx):
     """Write homogeneous p as a polynomial in the given generators.
 
@@ -203,46 +187,43 @@ class InvariantPresentation:
     degrees: tuple  # cohomological degrees
     ctx: VariableContext  # abstract context, one variable per generator
     expressed_images: tuple  # restricted invariants written in the generators
-    literal: bool  # True if the claimed (literal) generators worked
 
 
-def invariant_presentation(images, literal_gens, target_ctx):
-    """Choose even generators for the restricted invariant ring.
+def invariant_presentation(images, embedding: EmbeddingDatum, k_h: GroupDatum):
+    """The embedding's declared `subgroup_invariants`, certified as generators.
 
-    First tries the literal generator pair recorded in the catalog; if some
-    restricted invariant is not a polynomial in those, falls back to a basis
-    derived from the restriction image: the normalized lowest-degree nonzero
-    image completed by a monomial that makes every image expressible.
+    Certified means: the declared invariants and the Weyl invariants of each
+    factor of k_h, pulled back through its block of `subgroup_coordinates`,
+    are polynomials in each other, and every restricted invariant in
+    `images` is a polynomial in the declared ones.  A failure is a
+    CatalogError at the `[embedding]` header.
     """
-    nonzero = [p for p in images if p]
+    target, coordinates = embedding.restriction.target, embedding.subgroup_coordinates
+    classical = []
+    for (letter, n), block in zip(k_h.family, coordinate_blocks(k_h.family, coordinates)):
+        gens = weyl_invariant_generators(letter, n)
+        pullback = LinearSubstitution(gens[0][0].ctx, target, block)
+        classical += [substitute_linear(f, pullback) for f, _ in gens]
 
-    def attempt(gens, literal):
+    def express(polys, gens, what, in_what):
         degrees = tuple(g.cohom_degree() for g in gens)
-        ctx = VariableContext(
-            tuple(f"u{i+1}" for i in range(len(gens))), degrees
-        )
+        ctx = VariableContext(tuple(f"u{i+1}" for i in range(len(gens))), degrees)
         expressed = []
-        for p in images:
+        for p in polys:
             expr = express_in_generators(p, gens, degrees, ctx)
             if expr is None:
-                return None
+                raise CatalogError(
+                    f"{embedding.where}: embedding {embedding.name}: {what} {p} "
+                    f"is not a polynomial in the {in_what}"
+                )
             expressed.append(expr)
-        return InvariantPresentation(tuple(gens), degrees, ctx, tuple(expressed), literal)
+        return InvariantPresentation(tuple(gens), degrees, ctx, tuple(expressed))
 
-    if literal_gens:
-        result = attempt(list(literal_gens), True)
-        if result is not None:
-            return result
-    base = _normalize_integral(min(nonzero, key=lambda p: p.cohom_degree()))
-    base_degree = base.cohom_degree()
-    candidates = []
-    for exp in weighted_exponents(target_ctx.degrees, base_degree):
-        candidates.append(Polynomial(target_ctx, {exp: Fraction(1)}))
-    for candidate in candidates:
-        result = attempt([base, candidate], False)
-        if result is not None:
-            return result
-    raise ValueError("no degree-matched generator pair expresses all restricted invariants")
+    weyl = f"Weyl invariants of {k_h.name} on its subgroup_coordinates"
+    declared = embedding.subgroup_invariants
+    express(declared, classical, "subgroup invariant", weyl)
+    express(classical, declared, f"{k_h.name} Weyl invariant", "subgroup_invariants")
+    return express(images, declared, "restricted invariant", "subgroup_invariants")
 
 
 # ---- tncz check --------------------------------------------------------
@@ -250,8 +231,6 @@ def invariant_presentation(images, literal_gens, target_ctx):
 
 def restricted_invariants(embedding: EmbeddingDatum, ambient: GroupDatum):
     """Weyl invariants of the ambient group restricted through the embedding."""
-    from .poly import weyl_invariant_generators
-
     ((letter, rank),) = ambient.family  # a case's ambient group is simple
     gens = weyl_invariant_generators(letter, rank)
     out = []
@@ -323,9 +302,7 @@ def check_tncz_degree(case: CaseSpec, cutoff=None) -> CheckResult:
     restricted = restricted_invariants(case.embedding, case.g_u)
     images = [p for p, _ in restricted]
     invariant_degrees = [deg for _, deg in restricted]
-    pres = invariant_presentation(
-        images, case.embedding.literal_invariants, case.embedding.restriction.target
-    )
+    pres = invariant_presentation(images, case.embedding, case.k_h)
     algebra = build_quotient_algebra(pres, invariant_degrees)
     dims = algebra.cohomology_dims(cutoff)
     coeff = dims[d]
@@ -345,16 +322,16 @@ def check_tncz_degree(case: CaseSpec, cutoff=None) -> CheckResult:
             "literal_poincare": literal_poincare,
             "literal_coefficient": literal_poincare[d],
             "presentation": [str(g) for g in pres.generators],
-            "presentation_is_literal": pres.literal,
+            "presentation_is_literal": pres.generators == case.embedding.literal_invariants,
             "restricted_invariants": [str(p) for p in images],
         },
     )
-    if not pres.literal:
+    if not result.data["presentation_is_literal"]:
         result.notes.append(
-            "the recorded literal invariant generators do not contain the "
-            "restricted invariants; a generator basis derived from the "
-            "restriction image is used, and the literal quotient is reported "
-            "alongside for comparison"
+            "the recorded literal invariant generators are not the declared "
+            "subgroup invariants; the declared ones, certified against the Weyl "
+            "invariants of the subgroup, are used, and the literal quotient is "
+            "reported alongside for comparison"
         )
     if result.fired:
         result.notes.append(

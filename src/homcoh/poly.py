@@ -291,9 +291,9 @@ _TOKEN = re.compile(r"[\^*+\-()]|[A-Za-z_][A-Za-z_0-9']*|[0-9]+(?:/[0-9]+)?")
 
 
 def _tokenize(text):
-    """The tokens of the text, where every other character is white space before a token."""
+    """The tokens of the text, where every other character is white space."""
     tokens = _TOKEN.findall(text)
-    if len("".join(tokens)) != len("".join(text.split())) or text[-1:].isspace():
+    if len("".join(tokens)) != len("".join(text.split())):
         pos = 0  # the end of the last token with only white space before it
         for match in _TOKEN.finditer(text):
             if text[pos : match.start()].strip():

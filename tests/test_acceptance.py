@@ -117,8 +117,9 @@ def test_criterion_4_tncz_degree_check():
     # (u1, u2^3) is a regular sequence, y7 -> u1^2 lies in its ideal, and
     # H* = Q[u1, u2]/(u1, u2^3) (x) Lambda(y7~, y7') = (1 + t^4 + t^8)(1 + t^7)^2.
     # H^8 is spanned by u2^2.  This holds under the presentation (s, x2*x3)
-    # of so8_so3so3.cdga and under (s, x3^2) as the engine picks; the
-    # catalog's literal reading gives 2 there, not 0.
+    # of so8_so3so3.cdga, which is the catalog's declared subgroup_invariants
+    # that the check certifies and uses; the catalog's literal reading gives
+    # 2 there, not 0.
     assert dims[8] == 1
 
 

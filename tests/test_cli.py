@@ -132,6 +132,12 @@ def test_member_true():
     assert "member: true" in result.stdout
 
 
+@pytest.mark.parametrize("polynomial", [" x2", "x2 "])
+def test_member_argument_may_have_white_space_at_either_end(capsys, polynomial):
+    assert cli.main(["member", str(DATA / "ideals" / "restricted_d4.ideal"), polynomial]) == 0
+    assert capsys.readouterr().out == "member: false, normal form: x2\n"
+
+
 def test_member_false_with_normal_form(tmp_path):
     ideal = tmp_path / "x2.ideal"
     ideal.write_text("vars = x\nx^2\n")
@@ -213,6 +219,47 @@ def test_catalog_env_var_override(tmp_path, monkeypatch):
 CATALOG = (DATA / "catalog.txt").read_text()
 CASE_3 = str(DATA / "cases" / "03_so35_g22.case")
 EMBEDDING = "embedding = so(8) > so(3)xso(3)"
+HEADER = "[embedding so(8) > so(3)xso(3)]"
+COORDINATES = "subgroup_coordinates = x2 - x3, x2 + x3"
+INVARIANTS = "subgroup_invariants = x2^2 + x2*x3 + x3^2, x2*x3"
+CHECK_3 = ("--catalog", "{}", "check", CASE_3)
+# An embedding into so(8) of su(2)xsu(2), whose A1 coordinate blocks do not sum to 0.
+A1_BLOCKS = """
+[embedding so(8) > su(2)xsu(2)]
+source_vars = x1, x2, x3, x4
+target_vars = x2, x3
+map x1 = 0
+map x2 = x2
+map x3 = x3
+map x4 = x2 + x3
+subgroup_coordinates = x2, x3, -x2, -x3
+subgroup_invariants = x2^2, x3^2
+"""
+
+# A torus so(2) as the group D1, whose Weyl invariants no family table gives.
+D1_SUBGROUP = """
+[group so(2)]
+family = D1
+dimension = 1
+rank = 1
+weyl_order = 1
+primitive_degrees = 1
+invariant_degrees = 2
+
+[embedding so(3) > so(2)]
+source_vars = x1
+target_vars = t
+map x1 = t
+subgroup_coordinates = t
+subgroup_invariants = t
+"""
+
+
+def edited(old, new):
+    """The bundled catalog with the text old replaced by new."""
+    assert old in CATALOG
+    return CATALOG.replace(old, new)
+
 # u^2 in 330 pairs of parentheses, deeper than the parser's recursion could go
 DEEP = "(" * 330 + "u^2" + ")" * 330
 
@@ -238,7 +285,33 @@ BAD_INPUTS = [
     ("degree.ideal", "vars = x:q\nx^2\n", "vars = x:q", ("groebner", "{}")),
     ("odd.ideal", "vars = x:3, y\nx^2\n", "vars = x:3, y", ("groebner", "{}")),
     ("weyl.txt", CATALOG.replace("weyl_order = 192", "weyl_order = 191"),
-     "[group so(8)]", ("--catalog", "{}", "check", CASE_3)),
+     "[group so(8)]", CHECK_3),
+    ("nonlinear.txt", edited("map x4 = x2 + x3", "map x4 = x2*x3"), "map x4 = x2*x3",
+     ("--catalog", "{}", "catalog")),
+    ("notonto.txt", edited("map x3 = x3\nmap x4 = x2 + x3", "map x3 = x2\nmap x4 = 2*x2"), HEADER,
+     ("--catalog", "{}", "catalog")),
+    ("coordinate.txt", edited(COORDINATES, "subgroup_coordinates = x2 - x3, x2*x3"),
+     "subgroup_coordinates = x2 - x3, x2*x3", ("--catalog", "{}", "catalog")),
+    ("coordinates.txt", edited(COORDINATES, "subgroup_coordinates = x2 - x3"), HEADER, CHECK_3),
+    ("blocksum.txt", CATALOG + A1_BLOCKS, "[embedding so(8) > su(2)xsu(2)]", CHECK_3),
+    ("coordrank.txt", edited(COORDINATES, "subgroup_coordinates = x2 - x3, 2*x3 - 2*x2"), HEADER,
+     CHECK_3),
+    ("targetvars.txt", edited("target_vars = x2, x3\nmap x1 = 0", "target_vars = x2, x3, x5\n"
+                              "map x1 = x5"), HEADER, CHECK_3),
+    ("invariants.txt", edited(INVARIANTS, "subgroup_invariants = x2^2 + x2*x3 + x3^2"), HEADER,
+     CHECK_3),
+    ("homogeneous.txt", edited(INVARIANTS, INVARIANTS + " + x2"), HEADER, CHECK_3),
+    ("degrees.txt", edited(INVARIANTS, "subgroup_invariants = x2^2 + x2*x3 + x3^2, x2^3*x3"),
+     HEADER, CHECK_3),
+    ("d1.txt", CATALOG + D1_SUBGROUP, "[embedding so(3) > so(2)]", CHECK_3),
+    # Each of these once passed as a catalog and turned case 3 into a false
+    # no-amenable-form verdict; now the invariant certificate refuses it.
+    ("x4_x2.txt", edited("map x4 = x2 + x3", "map x4 = x2"), HEADER, CHECK_3),
+    ("x4_x2_2x3.txt", edited("map x4 = x2 + x3", "map x4 = x2 + 2*x3"), HEADER, CHECK_3),
+    ("x1_x2.txt", edited("map x1 = 0", "map x1 = x2"), HEADER, CHECK_3),
+    ("x1_x3.txt", edited("map x1 = 0", "map x1 = x3"), HEADER, CHECK_3),
+    ("guess.txt", edited(INVARIANTS, "subgroup_invariants = x2^2 + x2*x3 + x3^2, x3^2"), HEADER,
+     CHECK_3),
     ("nonsimple.case", "[case x]\ng = so(1,2)xso(1,2)\nh = su(1,2)\nk_h = su(2)\n"
      "embedding = so(3)xso(3) > su(2)\n", "embedding = so(3)xso(3) > su(2)",
      ("--catalog", "{catalog}", "check", "{}")),
@@ -265,6 +338,8 @@ source_vars = x1, x2
 target_vars = t
 map x1 = t
 map x2 = t
+subgroup_coordinates = t, -t
+subgroup_invariants = t^2
 """
 
 

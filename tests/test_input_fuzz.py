@@ -47,15 +47,19 @@ def mutated(draw, text):
     return "\n".join(lines) + "\n"
 
 
+CASE_3 = str(DATA / "cases" / "03_so35_g22.case")
 INPUTS = [
     (DATA / "catalog.txt", ("--catalog", "{}", "catalog")),
     (DATA / "ideals" / "restricted_d4.ideal", ("groebner", "{}")),
     *((Path(case), ("check", "{}")) for case in bundled_case_paths()),
     *((model, ("cohomology", "{}", "--cutoff", "8")) for model in sorted(DATA.glob("cdga/*.cdga"))),
+    (DATA / "catalog.txt", ("--catalog", "{}", "check", CASE_3)),
 ]
+# The catalog is mutated twice: loaded alone, and used by the tncz check of case 3.
+IDS = [source.name for source, _ in INPUTS[:-1]] + ["catalog.txt-check"]
 
 
-@pytest.mark.parametrize("source, argv", INPUTS, ids=[source.name for source, _ in INPUTS])
+@pytest.mark.parametrize("source, argv", INPUTS, ids=IDS)
 @FUZZ
 @given(data=st.data())
 def test_mutated_input_file(tmp_path, capsys, source, argv, data):

@@ -1,21 +1,26 @@
 """Unit tests for the obstruction checks, asserting computed behavior.
 
 The bundled third case is the interesting one: the recorded literal
-invariant presentation is inconsistent with the restricted invariants, the
-restricted degree-12 invariant is not in the ideal of the lower two, and the
-degree-8 cohomology of the quotient model comes out 1-dimensional under
-every consistent presentation, so the tncz check does not fire and the case
-is reported inconclusive.  (The acceptance suite asserts the same values
-and records the originally claimed ones that computation refuted.)
+invariant pair cannot express the restricted invariants, so the model is
+written in the declared subgroup invariants (s, x2*x3), which the check
+certifies against the classical Weyl invariants of so(3)xso(3); the
+restricted degree-12 invariant is not in the ideal of the lower two, and
+the degree-8 cohomology of the quotient model comes out 1-dimensional, so
+the tncz check does not fire and the case is reported inconclusive.  (The
+acceptance suite asserts the same values and records the originally
+claimed ones that computation refuted.)
 """
 
+from dataclasses import replace
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcoh import linalg
-from homcoh.catalog import bundled_cases, load_catalog
+from homcoh.catalog import CatalogError, bundled_cases, default_catalog_path, load_catalog
+from homcoh.cdga import cdga_from_text
 from homcoh.groebner import quotient_poincare
 from homcoh.linalg import RatMatrix
 from homcoh.obstruct import (
@@ -128,11 +133,16 @@ def test_literal_presentation_is_inconsistent(cases):
     case = cases["so(3,5)/g2(2)"]
     restricted = restricted_invariants(case.embedding, case.g_u)
     images = [p for p, _ in restricted]
-    pres = invariant_presentation(
-        images, case.embedding.literal_invariants, case.embedding.restriction.target
-    )
-    assert not pres.literal
-    # the fallback expresses every restriction exactly
+    literal = case.embedding.literal_invariants
+    gen_ctx = VariableContext(("u1", "u2"), (4, 4))
+    assert express_in_generators(images[0], literal, (4, 4), gen_ctx) is None
+    as_declared = replace(case.embedding, subgroup_invariants=literal)
+    with pytest.raises(CatalogError) as refused:
+        invariant_presentation(images, as_declared, case.k_h)
+    assert str(refused.value).startswith(f"{case.embedding.where}: ")
+    # the declared presentation expresses every restriction exactly
+    pres = invariant_presentation(images, case.embedding, case.k_h)
+    assert pres.generators == case.embedding.subgroup_invariants != literal
     tgt = case.embedding.restriction.target
     for image, expr in zip(images, pres.expressed_images):
         rebuilt = parse_polynomial("0", tgt)
@@ -142,6 +152,15 @@ def test_literal_presentation_is_inconsistent(cases):
                 term = term * g**e
             rebuilt = rebuilt + term
         assert rebuilt == image
+
+
+def test_declared_invariants_must_generate_the_weyl_invariants(cases):
+    """s twice is W_K-invariant, of the right degrees, but generates too little."""
+    case = cases["so(3,5)/g2(2)"]
+    s = case.embedding.subgroup_invariants[0]
+    twice = replace(case.embedding, subgroup_invariants=(s, s.scale(2)))
+    with pytest.raises(CatalogError, match="Weyl invariant .* is not a polynomial in the subgroup_"):
+        invariant_presentation([], twice, case.k_h)
 
 
 def test_express_in_generators_roundtrip():
@@ -227,6 +246,14 @@ def test_tncz_poincare_prefix(cases):
         expected[i + 14] += 1
     assert dims == expected
     assert sum((-1) ** k * c for k, c in enumerate(dims)) == 0
+
+
+def test_tncz_series_matches_the_bundled_model(cases):
+    """A second route: the hand-written model so8_so3so3.cdga of the same space."""
+    model = Path(default_catalog_path()).parent / "cdga" / "so8_so3so3.cdga"
+    algebra = cdga_from_text(model.read_text(), str(model))
+    r = check_tncz_degree(cases["so(3,5)/g2(2)"], cutoff=22)
+    assert r.data["poincare"] == algebra.cohomology_dims(22)
 
 
 def test_tncz_requires_embedding(cases):

@@ -103,6 +103,11 @@ def test_parse_cancelling_sums():
     assert P("- (x+y)*(x-y)") == P("y^2 - x^2")
 
 
+@pytest.mark.parametrize("text", [" x + y", "x + y ", "\tx + y\n"])
+def test_parse_ignores_white_space_at_either_end(text):
+    assert P(text) == P("x + y")
+
+
 def test_parse_unknown_variable():
     with pytest.raises(ValueError):
         P("z + 1")
