@@ -22,7 +22,7 @@ import sys
 from . import catalog as cat
 from .cdga import cdga_from_text, poincare_string
 from .groebner import GREVLEX, MonomialOrder, buchberger, normal_form
-from .obstruct import ALL_CHECKS, run_case
+from .obstruct import ALL_CHECKS, invariant_presentation, restricted_invariants, run_case
 from .poly import MAX_DEGREE, VariableContext, parse_polynomial
 
 
@@ -174,13 +174,40 @@ def cmd_member(args):
     return 0
 
 
+def _certificate_error(catalog, embedding):
+    """The invariant certificate's error for a valid embedding, or None.
+
+    It is the certificate `check` runs on a case's embedding.  A case's
+    ambient group is simple; for another ambient group only the declared and
+    the classical subgroup invariants are certified against each other.
+    """
+    ambient = catalog.groups[embedding.ambient]
+    images = []
+    if len(ambient.family) == 1:
+        images = [p for p, _ in restricted_invariants(embedding, ambient)]
+    try:
+        invariant_presentation(images, embedding, catalog.groups[embedding.subgroup])
+    except cat.CatalogError as exc:
+        return str(exc)
+    return None
+
+
 def cmd_catalog(args):
     try:
         catalog = cat.load_catalog(getattr(args, "catalog", None), validate=False)
     except (OSError, cat.CatalogError) as exc:
         raise InputError(str(exc))
     report = catalog.validation_report()
-    failures = [r for r in report if r[2] is not None]
+    invalid = {(kind, name) for name, kind, err in report if err is not None}
+    failures = []
+    for name, kind, err in report:
+        if kind == "embedding" and err is None:
+            embedding = catalog.embeddings[name]
+            # an invalid group's own row reports it, and its family may have no invariants
+            if not {("group", embedding.ambient), ("group", embedding.subgroup)} & invalid:
+                err = _certificate_error(catalog, embedding)
+        if err is not None:
+            failures.append((name, kind, err))
     if args.format == "json":
         payload = {
             "groups": {

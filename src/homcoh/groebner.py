@@ -13,7 +13,10 @@ C. Eder and J.-C. Faugere, J. Symbolic Comput. 80, 2017): the generators
 enter one at a time, and the S-pairs of each are taken by increasing
 signature and pruned by the syzygy and rewrite criteria.  On a regular
 sequence, such as the Weyl invariant ideals the Cartan models are built
-from, no S-pair reduces to zero.
+from, no S-pair reduces to zero.  From one generator to the next the
+reduced basis is kept as (lead, coefficient, tail) entries, and after each
+generator only the tails in which a new lead divides a term are reduced
+again; polynomials are built only for S-polynomials and for the result.
 
 Quotient series take the Hilbert numerator of the lead ideal by the
 colon-ideal recursion (D. Bayer and M. Stillman, J. Symbolic Comput. 14,
@@ -92,11 +95,10 @@ class _Reducers:
     monomial order.  Entries whose signature is None reduce freely.
     """
 
-    __slots__ = ("generators", "table", "signatures", "bound")
+    __slots__ = ("table", "signatures", "bound")
 
-    def __init__(self, generators, table, signatures=None, bound=None):
-        self.generators = generators
-        self.table = table  # one `_divisor` entry per generator
+    def __init__(self, table, signatures=None, bound=None):
+        self.table = table  # `_divisor` entries
         self.signatures = signatures
         self.bound = bound
 
@@ -114,15 +116,26 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX):
         table, bound = basis.table, basis.bound
     else:
         table, bound = [_divisor(g, order) for g in basis if g], None
-    key = order.key
+    regular = None
     if bound is not None:
-        top, signatures = key(bound), basis.signatures
+        key, top, signatures = order.key, order.key(bound), basis.signatures
 
         def regular(i, exp):
             sig = signatures[i]
             return sig is None or key(tuple(map(sub, map(add, sig, exp), table[i][0]))) > top
 
-    work = dict(f.terms)
+    return Polynomial(f.ctx, _reduce(f.terms, table, order, regular))
+
+
+def _reduce(terms, table, order, regular=None):
+    """Remainder of `terms` by the `_divisor` entries of `table`, as a dict.
+
+    `terms` maps exponents to coefficients, as a dict or as pairs; the
+    remainder lists its terms in decreasing order.  `regular(i, exp)`, when
+    given, says whether entry i may reduce x^exp.
+    """
+    key = order.key
+    work = dict(terms)
     # Lazy deletion: a heap entry whose exponent has left `work` is skipped.
     heap = [(key(e), e) for e in work]
     heapify(heap)
@@ -132,7 +145,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX):
         coeff = work.pop(exp, None)
         if coeff is None:
             continue
-        if bound is None:
+        if regular is None:
             hit = next((d for d in table if all(map(le, d[0], exp))), None)
         else:
             hit = next(
@@ -156,83 +169,97 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX):
                     work[e] = v
                 else:
                     del work[e]
-    return Polynomial(f.ctx, remainder)
+    return remainder
 
 
-def _interreduce(basis, order):
-    """Reduced basis from a Groebner basis, sorted by lead.
+def _interreduce(entries, first, order):
+    """Reduced basis, as monic `_divisor` entries sorted by lead.
 
+    `entries` is a Groebner basis whose first `first` entries are a reduced
+    basis, and no term of a later entry is divisible by one of their leads.
     Elements whose lead is divisible by another lead are dropped, except the
-    first of equal leads; each survivor's tail is then reduced once by the
-    survivors.  No tail term can be divisible by its own lead, so the
+    first of equal leads; only a later lead can divide another.  A survivor
+    keeps its tail, already reduced by the earlier leads, unless a later
+    survivor's lead divides one of its terms; then the tail is reduced once
+    by the survivors.  No tail term can be divisible by its own lead, so the
     survivor itself may stay among the reducers.
     """
-    entries = [_divisor(g, order) for g in basis]
     leads = [d[0] for d in entries]
     keep = [
         i
         for i, lead in enumerate(leads)
         if not any(
             _divides(other, lead) and (other != lead or j < i)
-            for j, other in enumerate(leads)
+            for j, other in enumerate(leads[first:], first)
             if j != i
         )
     ]
-    reducers = _Reducers([basis[i] for i in keep], [entries[i] for i in keep])
+    table = [entries[i] for i in keep]
+    new = [leads[i] for i in keep if i >= first]
     reduced = []
-    for i in keep:
-        lead, lc, tail = entries[i]
-        r = normal_form(Polynomial(basis[i].ctx, dict(tail)), reducers, order)
-        terms = {lead: Fraction(1)}
-        terms.update((e, c / lc) for e, c in r.terms.items())
-        reduced.append(Polynomial(basis[i].ctx, terms))
-    reduced.sort(key=lambda g: order.key(leading_term(g, order)[0]), reverse=True)
+    for lead, lc, tail in table:
+        if any(_divides(n, e) for e, _ in tail for n in new):
+            tail = list(_reduce(tail, table, order).items())
+        if lc != 1:
+            tail = [(e, c / lc) for e, c in tail]
+        reduced.append((lead, Fraction(1), tail))
+    reduced.sort(key=lambda d: order.key(d[0]), reverse=True)
     return reduced
 
 
 def _extend(lower, f, order, too_high):
-    """Groebner basis of the ideal of lower + [f]; `lower` is a Groebner basis.
+    """Groebner basis of the ideal of lower + [f], as `_divisor` entries.
 
-    Each new element h carries a signature t: h = a*f + b, where b lies in
-    the ideal of `lower` and a has leading monomial t, so signatures order
-    like the multiples t*f.  The S-pair of h and g has the larger of their
-    signatures times the cofactors; a pair whose signatures are equal is
-    singular and skipped.  Pairs are taken in increasing signature order,
-    and one is skipped when its signature s is divisible by a lead of
-    `lower` or by a signature that reduced to zero (syzygy criterion), when
-    an element added after its larger-signature member has a signature
-    dividing s (rewrite criterion), or when a pair of signature s was
-    reduced already.  An S-polynomial is reduced freely by `lower` and
-    regularly, below s, by the new elements; a remainder whose lead is
-    reducible at signature exactly s adds nothing and is dropped.
+    `lower` is a Groebner basis given as `_divisor` entries, and they come
+    first in the result; every later element is reduced by them.  Each new
+    element h carries a signature t: h = a*f + b, where b lies in the ideal
+    of `lower` and a has leading monomial t, so signatures order like the
+    multiples t*f.  The S-pair of h and g has the larger of their signatures
+    times the cofactors; a pair whose signatures are equal is singular and
+    skipped.  Pairs are taken in increasing signature order, and one is
+    skipped when its signature s is divisible by a lead of `lower` or by a
+    signature that reduced to zero (syzygy criterion), when an element added
+    after its larger-signature member has a signature dividing s (rewrite
+    criterion), or when a pair of signature s was reduced already.  An
+    S-polynomial is reduced freely by `lower` and regularly, below s, by the
+    new elements; a remainder whose lead is reducible at signature exactly s
+    adds nothing and is dropped.
     """
     key = order.key
     first = len(lower)
-    reducers = _Reducers(list(lower), [_divisor(g, order) for g in lower], [None] * first)
+    reducers = _Reducers(list(lower), [None] * first)
+    table, signatures = reducers.table, reducers.signatures
     h = normal_form(f, reducers, order)
     if not h:
-        return reducers.generators
-    syzygies = [lead for lead, _, _ in reducers.table]
+        return table
+    syzygies = [lead for lead, _, _ in lower]
+    polys = [None] * first  # the Polynomial of an entry, once s_polynomial needs it
     pairs = []  # heap of (-key(s), i, j, s): S(i, j) of signature s, i's the larger
 
+    def poly(i):
+        if polys[i] is None:
+            lead, lc, tail = table[i]
+            polys[i] = Polynomial(f.ctx, dict([(lead, lc), *tail]))
+        return polys[i]
+
     def insert(h, entry, sig):
-        k, lead = len(reducers.table), entry[0]
-        for i, (other, _, _) in enumerate(reducers.table):
+        k, lead = len(table), entry[0]
+        for i, (other, _, _) in enumerate(table):
             lcm = tuple(map(max, lead, other))
             if too_high(lcm):
                 continue
             big, small, s = k, i, tuple(map(add, sig, map(sub, lcm, lead)))
             if i >= first:
-                t = tuple(map(add, reducers.signatures[i], map(sub, lcm, other)))
+                t = tuple(map(add, signatures[i], map(sub, lcm, other)))
                 if t == s:
                     continue
                 if key(t) < key(s):
                     big, small, s = i, k, t
             if not any(_divides(z, s) for z in syzygies):
                 heappush(pairs, (tuple(-x for x in key(s)), big, small, s))
-        reducers.generators.append(h)
-        reducers.table.append(entry)
-        reducers.signatures.append(sig)
+        polys.append(h)
+        table.append(entry)
+        signatures.append(sig)
 
     insert(h, _divisor(h, order), (0,) * f.ctx.nvars)
     done = None
@@ -241,11 +268,11 @@ def _extend(lower, f, order, too_high):
         if (
             s == done
             or any(_divides(z, s) for z in syzygies)
-            or any(_divides(t, s) for t in reducers.signatures[i + 1 :])
+            or any(_divides(t, s) for t in signatures[i + 1 :])
         ):
             continue
         done = reducers.bound = s
-        h = normal_form(s_polynomial(reducers.generators[i], reducers.generators[j], order), reducers, order)
+        h = normal_form(s_polynomial(poly(i), poly(j), order), reducers, order)
         reducers.bound = None
         if not h:
             syzygies.append(s)
@@ -254,21 +281,22 @@ def _extend(lower, f, order, too_high):
         lead = entry[0]
         if not any(
             _divides(other, lead) and tuple(map(add, sig, map(sub, lead, other))) == s
-            for (other, _, _), sig in zip(reducers.table[first:], reducers.signatures[first:])
+            for (other, _, _), sig in zip(table[first:], signatures[first:])
         ):
             insert(h, entry, s)
-    return reducers.generators
+    return table
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
     """Reduced Groebner basis of the ideal generated by gens, as a tuple.
 
     The basis is monic and sorted by lead, smallest first.  The generators
-    are added one at a time, smallest lead first; after each,
-    `_interreduce` gives the reduced basis so far.  The next
-    generator's signature-based loop (`_extend`, F5) reduces by that basis
-    freely, and its leads serve the syzygy criterion.  On a regular
-    sequence no S-pair reduces to zero.
+    are added one at a time, smallest lead first.  The reduced basis so far
+    is kept as `_divisor` entries (lead, coefficient, tail): the next
+    generator's signature-based loop (`_extend`, F5) reduces by them freely,
+    their leads serve the syzygy criterion, and `_interreduce` makes the
+    result reduced again, reducing only the tails that a new lead divides a
+    term of.  On a regular sequence no S-pair reduces to zero.
 
     With `degree_cutoff` set, S-pairs whose lcm has cohomological degree
     above the cutoff are skipped.  For homogeneous input the elements of
@@ -290,8 +318,8 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, degree_cutoff=None):
 
     basis = []
     for f in sorted(polys, key=lambda g: order.key(leading_term(g, order)[0]), reverse=True):
-        basis = _interreduce(_extend(basis, f, order, too_high), order)
-    return tuple(basis)
+        basis = _interreduce(_extend(basis, f, order, too_high), len(basis), order)
+    return tuple(Polynomial(ctx, dict([(lead, lc), *tail])) for lead, lc, tail in basis)
 
 
 def ideal_member(f: Polynomial, gens, order: MonomialOrder = GREVLEX) -> bool:

@@ -324,9 +324,33 @@ BAD_INPUTS = [
      ("cohomology", "{}", "--cutoff", "4")),
 ]
 
+# Catalogs that `check` refuses on case 3, some only when it certifies the
+# embedding's invariants; `catalog` once listed the typo maps as consistent.
+REFUSED_CATALOGS = [row for row in BAD_INPUTS if row[3] == CHECK_3]
+
+
+@pytest.mark.parametrize("name, text, bad_line", [row[:3] for row in REFUSED_CATALOGS],
+                         ids=[row[0] for row in REFUSED_CATALOGS])
+def test_catalog_marks_invalid_what_check_refuses(tmp_path, name, text, bad_line):
+    bad = tmp_path / name
+    bad.write_text(text)
+    refused = run_cli("--catalog", str(bad), "check", CASE_3, expect=1).stderr
+    if name == "dupmap.txt":  # a duplicate key is refused while reading, by `catalog` too
+        assert run_cli("--catalog", str(bad), "catalog", expect=1).stderr == refused
+        return
+    message = refused.removeprefix("error: ").removesuffix("\n")
+    kind = bad_line[1:].split()[0]  # the record's [section] header is the line at fault
+    rows = run_cli("--catalog", str(bad), "catalog").stdout.splitlines()
+    assert any(row.startswith(f"INVALID  {kind} ") and row.endswith(f": {message}") for row in rows)
+    assert "validation: all records consistent" not in rows
+    payload = json.loads(run_cli("--format", "json", "--catalog", str(bad), "catalog").stdout)
+    assert message in payload["validation_failures"].values()
+
+
 # The bundled catalog plus a real form whose compact dual is not simple, and
 # an embedding with that ambient group.
 NONSIMPLE_CATALOG = CATALOG + """
+
 [realform so(1,2)xso(1,2)]
 compact_dual = so(3)xso(3)
 dimension = 6
@@ -341,6 +365,41 @@ map x2 = t
 subgroup_coordinates = t, -t
 subgroup_invariants = t^2
 """
+
+
+def test_catalog_certifies_an_embedding_into_a_product_group(tmp_path):
+    """No case can use it, so only its declared and classical subgroup invariants are certified."""
+    catalog_file = tmp_path / "nonsimple.txt"
+    catalog_file.write_text(NONSIMPLE_CATALOG)
+    result = run_cli("--catalog", str(catalog_file), "catalog")
+    assert "validation: all records consistent" in result.stdout
+
+
+# A group of a family with no invariant table, and an embedding into it.
+UNKNOWN_FAMILY = """
+[group e6]
+family = E6
+dimension = 78
+rank = 6
+weyl_order = 51840
+primitive_degrees = 3, 9, 11, 15, 17, 23
+invariant_degrees = 4, 10, 12, 16, 18, 24
+
+[embedding e6 > su(2)]
+source_vars = x1, x2, x3, x4, x5, x6
+target_vars = t
+map x1 = t
+""" + "".join(f"map x{i} = 0\n" for i in range(2, 7)) + """subgroup_coordinates = t, -t
+subgroup_invariants = t^2
+"""
+
+
+def test_catalog_certifies_no_embedding_into_an_invalid_group(tmp_path):
+    catalog_file = tmp_path / "e6.txt"
+    catalog_file.write_text(CATALOG + UNKNOWN_FAMILY)
+    rows = [row for row in run_cli("--catalog", str(catalog_file), "catalog").stdout.splitlines()
+            if row.startswith("INVALID")]
+    assert rows == [f"INVALID  group e6: {catalog_file}:{CATALOG.count(chr(10)) + 2}: e6: unknown family 'E'"]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from homcoh.catalog import _FAMILY
 from homcoh.groebner import (
     GREVLEX,
     MonomialOrder,
+    _divisor,
     _interreduce,
     buchberger,
     ideal_member,
@@ -282,7 +283,31 @@ def test_a4_basis_does_not_depend_on_the_presentation():
 
 def test_interreduce_keeps_the_first_of_equal_leads():
     g = P("x^2 + y^2")
-    assert _interreduce([g, g.scale(3)], GREVLEX) == [g]
+    entries = [_divisor(g, GREVLEX), _divisor(g.scale(3), GREVLEX)]
+    assert _interreduce(entries, 0, GREVLEX) == [_divisor(g, GREVLEX)]
+
+
+def test_a_later_lead_reduces_an_earlier_tail_again():
+    """y*z^2 - z^3, added last, has a lead dividing a tail term of y^2*z - y*z^2.
+
+    The first two generators' reduced basis has y^2*z - y*z^2; the third's
+    lead y*z^2 divides its tail, which must be reduced again to -z^3.
+    """
+    xyz = VariableContext.standard(("x", "y", "z"))
+    gens = [P(t, xyz) for t in ("x*z + y*z", "x^2 + x*z", "y*z^2 - z^3")]
+    assert P("y^2*z - y*z^2", xyz) in buchberger(gens[:2])
+    gb = buchberger(gens)
+    assert gb == tuple(P(t, xyz) for t in ("x*z + y*z", "x^2 - y*z", "y*z^2 - z^3", "y^2*z - z^3"))
+    assert_reduced_basis_of(gb, gens, GREVLEX)
+    assert set(gb) == sympy_basis(gens, GREVLEX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.booleans())
+def test_buchberger_does_not_depend_on_the_order_of_the_generators(data, homogeneous):
+    ctx, gens = data.draw(small_ideals(homogeneous))
+    order = data.draw(orders)
+    assert buchberger(data.draw(st.permutations(gens)), order) == buchberger(gens, order)
 
 
 # ---- signature criteria ------------------------------------------------
